@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/thread_pool.hpp"
 
@@ -120,37 +121,74 @@ std::unique_ptr<cluster::ClusterManagerBase> make_manager(
   return cluster::make_cluster_manager(std::move(sharded));
 }
 
+/// Records a record-vector stream materializes per refill.
+constexpr std::size_t kRecordWindow = 1024;
+
+/// The arrival index of a record vector: one stub per record.
+std::vector<trace::ArrivalStub> stubs_of(
+    const std::vector<trace::VmRecord>& records) {
+  std::vector<trace::ArrivalStub> stubs;
+  stubs.reserve(records.size());
+  for (const trace::VmRecord& record : records) {
+    stubs.push_back({record.id, record.start, record.end, record.vcpus,
+                     record.memory_mib});
+  }
+  return stubs;
+}
+
+/// The index alone, never materialized: its sweep answers the horizon and
+/// peak-committed queries of the static sizing helpers.
+trace::IndexedArrivalStream index_of(
+    const std::vector<trace::VmRecord>& records) {
+  return trace::IndexedArrivalStream(stubs_of(records), {}, 1, 1);
+}
+
+/// A record vector replayed as an arrival stream over an in-memory index:
+/// the materializer moves each record out of the owned vector by id.
+/// Serial (one worker), so each record is moved exactly once and no
+/// prefetch pool is built.
+std::unique_ptr<trace::VmArrivalStream> record_stream(
+    std::vector<trace::VmRecord> records) {
+  struct Owned {
+    std::vector<trace::VmRecord> records;
+    std::unordered_map<std::uint64_t, std::size_t> slot_of;
+  };
+  auto owned = std::make_shared<Owned>();
+  owned->slot_of.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (!owned->slot_of.try_emplace(records[i].id, i).second) {
+      throw std::runtime_error("trace replay: duplicate vm id " +
+                               std::to_string(records[i].id));
+    }
+  }
+  std::vector<trace::ArrivalStub> stubs = stubs_of(records);
+  owned->records = std::move(records);
+  return std::make_unique<trace::IndexedArrivalStream>(
+      std::move(stubs),
+      [owned](std::uint64_t id) {
+        return std::move(owned->records[owned->slot_of.at(id)]);
+      },
+      kRecordWindow, /*worker_threads=*/1);
+}
+
 }  // namespace
 
 sim::SimTime TraceDrivenSimulator::horizon_of(
     const std::vector<trace::VmRecord>& records) {
-  sim::SimTime horizon;
-  for (const trace::VmRecord& record : records) {
-    horizon = std::max(horizon, record.end);
-  }
-  return horizon;
+  return index_of(records).horizon();
 }
 
 TraceDrivenSimulator::TraceDrivenSimulator(std::vector<trace::VmRecord> records,
                                            SimConfig config)
-    : records_(std::move(records)),
-      config_(std::move(config)),
-      runtimes_(records_.size()) {
-  horizon_ = horizon_of(records_);
-  trace_peak_committed_ = peak_committed(records_);
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    runtimes_[i].record = &records_[i];
-    id_to_idx_[records_[i].id] = i;
-  }
-  init_common();
+    : config_(std::move(config)),
+      owned_stream_(record_stream(std::move(records))) {
+  init(*owned_stream_);
 }
 
 TraceDrivenSimulator::TraceDrivenSimulator(trace::VmArrivalStream& stream,
                                            SimConfig config)
-    : config_(std::move(config)), stream_(&stream) {
-  horizon_ = stream_->horizon();
-  trace_peak_committed_ = stream_->peak_committed();
-  init_common();
+    : config_(std::move(config)) {
+  init(stream);
 }
 
 TraceDrivenSimulator::TraceDrivenSimulator(SimConfig config)
@@ -160,13 +198,12 @@ TraceDrivenSimulator::TraceDrivenSimulator(SimConfig config)
         "TraceDrivenSimulator(SimConfig): config.replay is unset");
   }
   owned_stream_ = trace::make_arrival_stream(*config_.replay);
-  stream_ = owned_stream_.get();
-  horizon_ = stream_->horizon();
-  trace_peak_committed_ = stream_->peak_committed();
-  init_common();
+  init(*owned_stream_);
 }
 
-void TraceDrivenSimulator::init_common() {
+void TraceDrivenSimulator::init(trace::VmArrivalStream& stream) {
+  stream_ = &stream;
+  horizon_ = stream.horizon();
   apply_policy_set(config_);
   plan_ = make_plan(horizon_, config_);
   manager_ = make_manager(config_, plan_);
@@ -291,12 +328,8 @@ void TraceDrivenSimulator::init_common() {
 
 TraceDrivenSimulator::VmRuntime* TraceDrivenSimulator::runtime_of(
     std::uint64_t id) {
-  if (stream_ != nullptr) {
-    const auto it = active_.find(id);
-    return it == active_.end() ? nullptr : &it->second.rt;
-  }
-  const auto it = id_to_idx_.find(id);
-  return it == id_to_idx_.end() ? nullptr : &runtimes_[it->second];
+  const auto it = active_.find(id);
+  return it == active_.end() ? nullptr : &it->second;
 }
 
 bool TraceDrivenSimulator::timed_migration() const noexcept {
@@ -308,12 +341,12 @@ bool TraceDrivenSimulator::timed_migration() const noexcept {
 void TraceDrivenSimulator::charge_downtime(const VmRuntime& vm,
                                            sim::SimTime from,
                                            sim::SimTime until) {
-  const sim::SimTime end = std::min(until, vm.record->end);
+  const sim::SimTime end = std::min(until, vm.record.end);
   if (end <= from) return;
   const double hours = (end - from).hours();
   migration_downtime_hours_ += hours;
   migration_downtime_core_hours_ +=
-      hours * static_cast<double>(vm.record->vcpus);
+      hours * static_cast<double>(vm.record.vcpus);
 }
 
 void TraceDrivenSimulator::track_migration(
@@ -338,8 +371,8 @@ void TraceDrivenSimulator::charge_unserved_tail(const VmRuntime& vm,
                                                 sim::SimTime at) {
   // finalize() integrates usage for deflatable VMs only; keep the two
   // populations consistent or throughput_loss mixes denominators.
-  if (!vm.record->deflatable()) return;
-  const trace::VmRecord& record = *vm.record;
+  if (!vm.record.deflatable()) return;
+  const trace::VmRecord& record = vm.record;
   const auto& samples = record.cpu.samples();
   const std::int64_t interval_us = record.cpu.interval().micros();
   const auto served = static_cast<std::size_t>(std::min<std::int64_t>(
@@ -355,8 +388,8 @@ void TraceDrivenSimulator::charge_never_served(const VmRuntime& vm) {
   // Mirror of charge_unserved_tail for a VM that never launched: the whole
   // series is demand the fleet failed to serve. Deflatable only, to keep
   // the throughput denominators consistent (see charge_unserved_tail).
-  if (!vm.record->deflatable()) return;
-  for (const double sample : vm.record->cpu.samples()) {
+  if (!vm.record.deflatable()) return;
+  for (const double sample : vm.record.cpu.samples()) {
     used_ += sample;
     lost_ += sample;
   }
@@ -373,10 +406,10 @@ void TraceDrivenSimulator::apply_admission(
       // The arrival→launch window went unserved: bill it as replacement
       // capacity. (The displaced tail samples are charged to throughput
       // loss when the VM finalizes.)
-      const double delay_hours = (now_ - vm.record->start).hours();
+      const double delay_hours = (now_ - vm.record.start).hours();
       admission_delay_hours_ += delay_hours;
       admission_unserved_core_hours_ +=
-          delay_hours * static_cast<double>(vm.record->vcpus);
+          delay_hours * static_cast<double>(vm.record.vcpus);
     }
     return;
   }
@@ -389,18 +422,18 @@ void TraceDrivenSimulator::apply_admission(
     vm.expired = true;
     charge_never_served(vm);
     admission_unserved_core_hours_ +=
-        static_cast<double>(vm.record->vcpus) * vm.record->lifetime().hours();
+        static_cast<double>(vm.record.vcpus) * vm.record.lifetime().hours();
   }
 }
 
 void TraceDrivenSimulator::on_vm_start(VmRuntime& vm) {
   cluster::AdmissionRequest request =
-      cluster::AdmissionRequest::from_spec(vm.record->to_spec(), now_);
+      cluster::AdmissionRequest::from_spec(vm.record.to_spec(), now_);
   // A VM admitted at (or after) its departure would never be removed:
   // clamp the deferral window strictly inside the record's lifetime, so
   // expiry always resolves before the (already ignored) VmEnd event.
   const sim::SimTime latest =
-      vm.record->end - sim::SimTime::from_micros(1);
+      vm.record.end - sim::SimTime::from_micros(1);
   const sim::SimTime window =
       now_ + sim::SimTime::from_hours(
                  std::max(0.0, admission_->config().max_defer_hours));
@@ -411,7 +444,7 @@ void TraceDrivenSimulator::on_vm_start(VmRuntime& vm) {
 void TraceDrivenSimulator::finalize(VmRuntime& vm, sim::SimTime at) {
   vm.running = false;
   vm.finished_at = at;
-  const trace::VmRecord& record = *vm.record;
+  const trace::VmRecord& record = vm.record;
   const double cores = static_cast<double>(record.vcpus);
   const double hours = (at - vm.placed_at).hours();
   if (hours <= 0.0) return;
@@ -478,7 +511,7 @@ void TraceDrivenSimulator::on_vm_end(VmRuntime& vm) {
     // departure — lost throughput.
     charge_unserved_tail(vm, now_);
   }
-  manager_->remove_vm(vm.record->id);
+  manager_->remove_vm(vm.record.id);
 }
 
 void TraceDrivenSimulator::publish_utilization() {
@@ -577,7 +610,7 @@ void TraceDrivenSimulator::handle_revoke(std::size_t server) {
     for (const std::uint64_t id : it->second) {
       VmRuntime* rt = runtime_of(id);
       if (rt != nullptr && rt->running) {
-        suspended.push_back(rt->record->to_spec());
+        suspended.push_back(rt->record.to_spec());
       }
     }
     suspended_.erase(it);
@@ -646,161 +679,25 @@ SimMetrics TraceDrivenSimulator::run() {
     throw std::logic_error("TraceDrivenSimulator::run is single-shot");
   }
   ran_ = true;
-  if (stream_ != nullptr) {
-    run_streaming();
-  } else {
-    run_vector();
-  }
+  replay();
   return build_metrics();
 }
 
-void TraceDrivenSimulator::run_vector() {
-  // Controller-enabled runs keep the plan's Restore/Warn/Revoke schedule
-  // in the spliceable member queue (a re-optimization may rewrite its
-  // unconsumed suffix); disabled runs merge it into the static vector
-  // exactly as before. Either way the three sources' kinds are disjoint,
-  // so merging by (at, kind) reproduces the single sorted vector's
-  // canonical (at, kind, idx) order bit-for-bit.
-  std::vector<Event> events;
-  if (controller_) {
-    plan_queue_ = build_plan_events();
-  } else {
-    events = build_plan_events();
-  }
-  events.reserve(events.size() + records_.size() * 2);
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    events.push_back({records_[i].start, Event::Kind::VmStart, i, {}});
-    events.push_back({records_[i].end, Event::Kind::VmEnd, i, {}});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.idx < b.idx;
-  });
-
-  std::size_t next_event = 0;
-  while (next_event < events.size() || next_plan_ < plan_queue_.size() ||
-         next_reopt_ != sim::SimTime::max() || !pending_allocs_.empty() ||
-         admission_->next_retry()) {
-    // Earliest static event across the sources: the arrival/departure
-    // vector, the plan queue and the controller's next wakeup.
-    const Event reopt_event{next_reopt_, Event::Kind::Reopt, 0, {}};
-    const Event* candidate =
-        next_event < events.size() ? &events[next_event] : nullptr;
-    int candidate_source = 0;  // 0 = events, 1 = plan queue, 2 = reopt
-    const auto consider = [&](const Event& event, int source) {
-      if (candidate == nullptr || event.at < candidate->at ||
-          (event.at == candidate->at && event.kind < candidate->kind)) {
-        candidate = &event;
-        candidate_source = source;
-      }
-    };
-    if (next_plan_ < plan_queue_.size()) consider(plan_queue_[next_plan_], 1);
-    if (next_reopt_ != sim::SimTime::max()) consider(reopt_event, 2);
-
-    // Deferral-queue retries come due between static events. A retry is an
-    // arrival (of an older request): at equal timestamps it slots into the
-    // canonical event order *after* departures/restores/revocations and
-    // re-optimizations — price-crossing restores land exactly on the
-    // price-drop step the retry waited for, the re-entry must see the
-    // restored fleet, and a drained request re-evaluates against freshly
-    // pushed ceilings — but *ahead* of same-instant fresh arrivals.
-    const sim::SimTime next_static =
-        candidate != nullptr ? candidate->at : sim::SimTime::max();
-    const bool retry_before_static =
-        candidate == nullptr || candidate->kind == Event::Kind::VmStart;
-    if (const auto retry = admission_->next_retry();
-        retry &&
-        (*retry < next_static ||
-         (*retry == next_static && retry_before_static)) &&
-        (pending_allocs_.empty() || *retry <= pending_allocs_.top().at)) {
-      now_ = std::max(now_, *retry);
-      for (const cluster::AdmissionController::Resolved& resolved :
-           admission_->drain(now_)) {
-        if (VmRuntime* rt = runtime_of(resolved.request.spec.id)) {
-          apply_admission(*rt, resolved.decision);
-        }
-      }
-      continue;
-    }
-    // In-flight migration cutovers come due between static events; they
-    // only touch allocation timelines, never the manager.
-    if (!pending_allocs_.empty() &&
-        (candidate == nullptr || pending_allocs_.top().at <= next_static)) {
-      const AllocEvent alloc = pending_allocs_.top();
-      pending_allocs_.pop();
-      apply_alloc_event(alloc);
-      continue;
-    }
-    // Copy, not reference: a Reopt may splice plan_queue_ under us.
-    const Event event = *candidate;
-    if (candidate_source == 0) {
-      ++next_event;
-    } else if (candidate_source == 1) {
-      ++next_plan_;
-    }
-    // Batched view maintenance: dirty views/aggregates accumulated by the
-    // events of one simulated tick are flushed once at the tick boundary
-    // instead of once per event (placement stays exact either way). The
-    // telemetry bus reports on the same cadence: one UtilizationReport per
-    // active server per tick, from the freshly flushed state.
-    if (event.at != now_) {
-      manager_->flush_views();
-      publish_utilization();
-    }
-    now_ = event.at;
-    switch (event.kind) {
-      case Event::Kind::VmStart: on_vm_start(runtimes_[event.idx]); break;
-      case Event::Kind::VmEnd: on_vm_end(runtimes_[event.idx]); break;
-      case Event::Kind::Warn: handle_warn(event.idx, event.deadline); break;
-      case Event::Kind::Revoke: handle_revoke(event.idx); break;
-      case Event::Kind::Reopt: run_reopt(); break;
-      case Event::Kind::Restore: manager_->restore_server(event.idx); break;
-    }
-  }
-
-  vm_count_ = records_.size();
-  for (const trace::VmRecord& record : records_) {
-    if (record.deflatable()) ++deflatable_count_;
-  }
-  // Non-admission unserved demand, in committed core-hours: capacity
-  // rejections in full, preempted/killed VMs from their eviction onwards.
-  // (Admission-caused unserved demand is billed into the cost report.)
-  for (const VmRuntime& vm : runtimes_) {
-    const double cores = static_cast<double>(vm.record->vcpus);
-    if (vm.rejected && !vm.expired) {
-      unserved_core_hours_ += cores * vm.record->lifetime().hours();
-    } else if (vm.preempted) {
-      unserved_core_hours_ +=
-          cores *
-          std::max(0.0, (vm.record->end - vm.finished_at).hours());
-    }
-  }
-}
-
-void TraceDrivenSimulator::run_streaming() {
+void TraceDrivenSimulator::replay() {
   // Static events come from four ordered sources merged on the fly:
   //   * the plan's Restore/Warn/Revoke schedule (the spliceable member
   //     queue — a re-optimization may rewrite its unconsumed suffix),
   //   * departures of VMs admitted so far (a min-heap fed at arrival),
   //   * the arrival stream itself (one-record lookahead),
   //   * the controller's next re-optimization wakeup.
-  // Ids never collide across same-kind sources, so ordering candidates by
-  // (at, kind) reproduces the vector loop's canonical (at, kind, id) order
-  // — which is what keeps streaming results consistent with vector-mode
-  // replays of the same trace.
+  // Ids never collide across same-kind sources, and each source yields its
+  // events in (at, id) order, so ordering candidates by (at, kind) gives
+  // the canonical (at, kind, id) order of Event.
   plan_queue_ = build_plan_events();
 
-  struct EndEvent {
-    sim::SimTime at;
-    std::uint64_t id;
-    [[nodiscard]] bool operator>(const EndEvent& other) const noexcept {
-      if (at != other.at) return at > other.at;
-      return id > other.id;
-    }
-  };
-  std::priority_queue<EndEvent, std::vector<EndEvent>, std::greater<EndEvent>>
-      ends;
+  /// Departures as (end, vm id), earliest first.
+  using EndEvent = std::pair<sim::SimTime, std::uint64_t>;
+  std::priority_queue<EndEvent, std::vector<EndEvent>, std::greater<>> ends;
 
   std::optional<trace::VmRecord> next_arrival = stream_->next();
 
@@ -812,17 +709,18 @@ void TraceDrivenSimulator::run_streaming() {
   const auto release_vm = [&](std::uint64_t id) {
     const auto it = active_.find(id);
     if (it == active_.end()) return;
-    VmRuntime& vm = it->second.rt;
+    VmRuntime& vm = it->second;
     on_vm_end(vm);
-    // The vector loop bills non-admission unserved demand in a final pass
-    // over all runtimes; a streaming run cannot revisit released VMs, so
-    // bill it here, before the record leaves memory.
-    const double cores = static_cast<double>(vm.record->vcpus);
+    // Non-admission unserved demand, in committed core-hours: capacity
+    // rejections in full, preempted/killed VMs from their eviction onwards
+    // (admission-caused unserved demand is billed into the cost report).
+    // Billed here, before the record leaves memory.
+    const double cores = static_cast<double>(vm.record.vcpus);
     if (vm.rejected && !vm.expired) {
-      unserved_core_hours_ += cores * vm.record->lifetime().hours();
+      unserved_core_hours_ += cores * vm.record.lifetime().hours();
     } else if (vm.preempted) {
       unserved_core_hours_ +=
-          cores * std::max(0.0, (vm.record->end - vm.finished_at).hours());
+          cores * std::max(0.0, (vm.record.end - vm.finished_at).hours());
     }
     active_.erase(it);
   };
@@ -840,7 +738,7 @@ void TraceDrivenSimulator::run_streaming() {
       }
     };
     if (!ends.empty()) {
-      consider(ends.top().at, static_cast<int>(Event::Kind::VmEnd),
+      consider(ends.top().first, static_cast<int>(Event::Kind::VmEnd),
                kSourceEnd);
     }
     if (next_plan_ < plan_queue_.size()) {
@@ -857,7 +755,13 @@ void TraceDrivenSimulator::run_streaming() {
       break;
     }
 
-    // Retry/cutover interleaving: identical rules to the vector loop.
+    // Deferral-queue retries come due between static events. A retry is an
+    // arrival (of an older request): at equal timestamps it slots into the
+    // canonical event order *after* departures/restores/revocations and
+    // re-optimizations — price-crossing restores land exactly on the
+    // price-drop step the retry waited for, the re-entry must see the
+    // restored fleet, and a drained request re-evaluates against freshly
+    // pushed ceilings — but *ahead* of same-instant fresh arrivals.
     const sim::SimTime next_static = source >= 0 ? at : sim::SimTime::max();
     const bool retry_before_static = source < 0 || rank == kArrivalRank;
     if (const auto retry = admission_->next_retry();
@@ -874,6 +778,8 @@ void TraceDrivenSimulator::run_streaming() {
       }
       continue;
     }
+    // In-flight migration cutovers come due between static events; they
+    // only touch allocation timelines, never the manager.
     if (!pending_allocs_.empty() &&
         (source < 0 || pending_allocs_.top().at <= next_static)) {
       const AllocEvent alloc = pending_allocs_.top();
@@ -882,8 +788,11 @@ void TraceDrivenSimulator::run_streaming() {
       continue;
     }
 
-    // Tick boundary: same batched view/telemetry cadence as the vector
-    // loop.
+    // Batched view maintenance: dirty views/aggregates accumulated by the
+    // events of one simulated tick are flushed once at the tick boundary
+    // instead of once per event (placement stays exact either way). The
+    // telemetry bus reports on the same cadence: one UtilizationReport per
+    // active server per tick, from the freshly flushed state.
     if (at != now_) {
       manager_->flush_views();
       publish_utilization();
@@ -891,7 +800,7 @@ void TraceDrivenSimulator::run_streaming() {
     now_ = at;
     switch (source) {
       case kSourceEnd: {
-        const std::uint64_t id = ends.top().id;
+        const std::uint64_t id = ends.top().second;
         ends.pop();
         release_vm(id);
         break;
@@ -911,23 +820,21 @@ void TraceDrivenSimulator::run_streaming() {
         break;
       }
       case kSourceArrival: {
-        trace::VmRecord record = std::move(*next_arrival);
-        next_arrival = stream_->next();
-        const std::uint64_t id = record.id;
+        const std::uint64_t id = next_arrival->id;
         const auto [it, inserted] = active_.try_emplace(id);
         if (!inserted) {
           throw std::runtime_error(
               "trace replay: duplicate vm id " + std::to_string(id) +
               " in arrival stream");
         }
-        OwnedVm& owned = it->second;
-        owned.record = std::move(record);
-        owned.rt.record = &owned.record;
+        VmRuntime& vm = it->second;
+        vm.record = std::move(*next_arrival);
+        next_arrival = stream_->next();
         peak_active_ = std::max(peak_active_, active_.size());
         ++vm_count_;
-        if (owned.record.deflatable()) ++deflatable_count_;
-        ends.push({owned.record.end, id});
-        on_vm_start(owned.rt);
+        if (vm.record.deflatable()) ++deflatable_count_;
+        ends.emplace(vm.record.end, id);
+        on_vm_start(vm);
         break;
       }
       case kSourceReopt: run_reopt(); break;
@@ -1039,10 +946,11 @@ SimMetrics TraceDrivenSimulator::build_metrics() {
       deflatable_time_ > 0.0 ? deflation_fraction_time_ / deflatable_time_ : 0.0;
 
   const res::ResourceVector capacity = manager_->total_capacity();
+  const res::ResourceVector peak = stream_->peak_committed();
   double oc = 0.0;
   for (const res::Resource r : {res::Resource::Cpu, res::Resource::Memory}) {
     if (capacity[r] > 0.0) {
-      oc = std::max(oc, trace_peak_committed_[r] / capacity[r] - 1.0);
+      oc = std::max(oc, peak[r] / capacity[r] - 1.0);
     }
   }
   metrics.achieved_overcommit = oc;
@@ -1051,46 +959,14 @@ SimMetrics TraceDrivenSimulator::build_metrics() {
 
 res::ResourceVector TraceDrivenSimulator::peak_committed(
     const std::vector<trace::VmRecord>& records) {
-  struct Change {
-    sim::SimTime at;
-    bool add;
-    res::ResourceVector amount;
-  };
-  std::vector<Change> changes;
-  changes.reserve(records.size() * 2);
-  for (const trace::VmRecord& record : records) {
-    const res::ResourceVector v = record.to_spec().vector();
-    changes.push_back({record.start, true, v});
-    changes.push_back({record.end, false, v});
-  }
-  std::sort(changes.begin(), changes.end(), [](const Change& a, const Change& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return !a.add && b.add;  // removals first
-  });
-  res::ResourceVector current, peak;
-  for (const Change& change : changes) {
-    if (change.add) {
-      current += change.amount;
-    } else {
-      current -= change.amount;
-    }
-    peak = peak.elementwise_max(current);
-  }
-  return peak;
+  return index_of(records).peak_committed();
 }
 
 std::size_t TraceDrivenSimulator::servers_for_overcommit(
     const std::vector<trace::VmRecord>& records,
     const res::ResourceVector& server_capacity, double overcommit) {
-  const res::ResourceVector peak = peak_committed(records);
-  double servers = 1.0;
-  for (const res::Resource r : {res::Resource::Cpu, res::Resource::Memory}) {
-    if (server_capacity[r] > 0.0) {
-      servers = std::max(servers,
-                         peak[r] / (server_capacity[r] * (1.0 + overcommit)));
-    }
-  }
-  return static_cast<std::size_t>(std::ceil(servers));
+  return trace::servers_for_overcommit(index_of(records), server_capacity,
+                                       overcommit);
 }
 
 std::size_t TraceDrivenSimulator::minimum_feasible_servers(

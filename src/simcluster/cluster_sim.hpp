@@ -203,39 +203,44 @@ struct SimMetrics {
 
 class TraceDrivenSimulator {
  public:
+  /// Replays a materialized trace: the records are wrapped as an
+  /// IndexedArrivalStream over an in-memory index (the simulator owns
+  /// it), each record moved out to the event loop at its arrival.
+  /// Throws std::runtime_error when two records share an id.
   TraceDrivenSimulator(std::vector<trace::VmRecord> records, SimConfig config);
 
-  /// Streaming mode: replays arrivals from `stream` (non-owning; must
-  /// outlive the simulator, and must be freshly constructed or reset()).
-  /// Only active VMs are resident; memory is O(active + stream window)
-  /// instead of O(fleet).
+  /// Replays arrivals from `stream` (non-owning; must outlive the
+  /// simulator, and must be freshly constructed or reset()). Only active
+  /// VMs are resident; memory is O(active + stream window) instead of
+  /// O(fleet).
   TraceDrivenSimulator(trace::VmArrivalStream& stream, SimConfig config);
 
-  /// Streaming mode from `config.replay` (the simulator owns the stream).
-  /// Throws std::invalid_argument when `config.replay` is unset.
+  /// Replays the stream built from `config.replay` (the simulator owns
+  /// it). Throws std::invalid_argument when `config.replay` is unset.
   explicit TraceDrivenSimulator(SimConfig config);
 
   /// Replays the whole trace; single-shot (construct a new simulator for
   /// another run).
   SimMetrics run();
 
-  /// Streaming mode: high-water mark of concurrently-resident VM records.
-  /// The megafleet bench gates on this staying far below the stream's
-  /// total size (the bounded-memory claim, made measurable). Zero in
-  /// record-vector mode.
+  /// High-water mark of concurrently-resident VM records. The megafleet
+  /// bench gates on this staying far below the stream's total size (the
+  /// bounded-memory claim, made measurable).
   [[nodiscard]] std::size_t peak_active_records() const noexcept {
     return peak_active_;
   }
 
   // --- sizing helpers --------------------------------------------------------
   /// Peak concurrently-committed resources of the trace (the paper sizes
-  /// the baseline cluster so this peak fits without any reclamation).
+  /// the baseline cluster so this peak fits without any reclamation):
+  /// the arrival index's sweep, VmArrivalStream::peak_committed.
   [[nodiscard]] static res::ResourceVector peak_committed(
       const std::vector<trace::VmRecord>& records);
 
   /// Number of servers that sets cluster overcommitment to `overcommit`
   /// (0.5 = 50%): capacity = peak / (1 + overcommit), per the paper's
-  /// protocol of shrinking the minimum-feasible cluster.
+  /// protocol of shrinking the minimum-feasible cluster. Same formula as
+  /// trace::servers_for_overcommit.
   [[nodiscard]] static std::size_t servers_for_overcommit(
       const std::vector<trace::VmRecord>& records,
       const res::ResourceVector& server_capacity, double overcommit);
@@ -262,7 +267,7 @@ class TraceDrivenSimulator {
 
  private:
   struct VmRuntime {
-    const trace::VmRecord* record = nullptr;
+    trace::VmRecord record;
     bool running = false;
     bool preempted = false;
     bool rejected = false;
@@ -278,14 +283,12 @@ class TraceDrivenSimulator {
     std::uint32_t displacement_epoch = 0;
   };
 
-  /// Shared constructor tail: market plan, manager, admission controller
-  /// and the manager callbacks. Requires horizon_/peak_committed_ and the
-  /// per-mode VM storage to be initialized.
-  void init_common();
+  /// Shared constructor tail: binds the arrival source, then builds the
+  /// market plan, manager, admission controller and the manager callbacks.
+  void init(trace::VmArrivalStream& stream);
 
-  /// The VM's runtime state, or nullptr when unknown/already released —
-  /// the one lookup both storage modes (record vector / streaming active
-  /// set) sit behind.
+  /// The VM's runtime state in the active set, or nullptr when it has not
+  /// arrived yet or was already released.
   [[nodiscard]] VmRuntime* runtime_of(std::uint64_t id);
 
   void on_vm_start(VmRuntime& vm);
@@ -334,18 +337,17 @@ class TraceDrivenSimulator {
   struct Event {
     sim::SimTime at;
     enum class Kind { VmEnd, Restore, Warn, Revoke, Reopt, VmStart } kind;
-    std::size_t idx;        ///< VM index or server id
+    std::size_t idx;        ///< server id (plan events)
     sim::SimTime deadline;  ///< Warn only: when the server actually dies
   };
 
   /// The market plan's Restore/Warn/Revoke events, sorted canonically.
   [[nodiscard]] std::vector<Event> build_plan_events() const;
 
-  /// Replays the materialized record vector (the classic mode).
-  void run_vector();
-  /// Replays the arrival stream with only active VMs resident.
-  void run_streaming();
-  /// Folds the accumulators into the returned metrics (both modes).
+  /// The event loop: replays the arrival stream with only active VMs
+  /// resident.
+  void replay();
+  /// Folds the accumulators into the returned metrics.
   [[nodiscard]] SimMetrics build_metrics();
 
   void handle_warn(std::size_t server, sim::SimTime deadline);
@@ -356,7 +358,6 @@ class TraceDrivenSimulator {
   /// not-yet-consumed suffix. Advances next_reopt_.
   void run_reopt();
 
-  std::vector<trace::VmRecord> records_;
   SimConfig config_;
   /// Market plan computed before the manager so portfolio pool weights can
   /// shape the cluster partitions. Empty when the market is disabled.
@@ -374,7 +375,7 @@ class TraceDrivenSimulator {
   /// estimators and the authoritative revocation timeline once moves have
   /// been scheduled.
   std::unique_ptr<control::FleetController> controller_;
-  /// Plan-driven Restore/Warn/Revoke events. Both event loops consume
+  /// Plan-driven Restore/Warn/Revoke events. The event loop consumes
   /// this via next_plan_ so a re-optimization can splice a rewritten
   /// future (everything strictly after `now_`) into the unconsumed
   /// suffix. Events already consumed are never touched.
@@ -384,8 +385,6 @@ class TraceDrivenSimulator {
   /// (disabled, reopt_hours = inf, or no further window fits the
   /// horizon).
   sim::SimTime next_reopt_ = sim::SimTime::max();
-  std::vector<VmRuntime> runtimes_;
-  std::unordered_map<std::uint64_t, std::size_t> id_to_idx_;
   /// Suspended (checkpointed-awaiting-destination) VM ids per doomed
   /// server, between a warning and its deadline.
   std::unordered_map<std::size_t, std::vector<std::uint64_t>> suspended_;
@@ -410,32 +409,26 @@ class TraceDrivenSimulator {
                       std::greater<AllocEvent>>
       pending_allocs_;
   /// Applies a due cutover pause/resume to the VM's allocation timeline
-  /// (stale epochs dropped); shared by both event loops.
+  /// (stale epochs dropped).
   void apply_alloc_event(const AllocEvent& alloc);
   sim::SimTime now_;
 
-  // --- streaming-mode state ---------------------------------------------------
-  /// Arrival source (null in record-vector mode). Non-owning; points at
-  /// owned_stream_ when the SimConfig-level constructor built it.
+  // --- arrival source and active set -----------------------------------------
+  /// Arrival source. Non-owning; points at owned_stream_ when the
+  /// record-vector or SimConfig-level constructor built it.
   trace::VmArrivalStream* stream_ = nullptr;
   std::unique_ptr<trace::VmArrivalStream> owned_stream_;
-  /// An active VM: the materialized record plus its runtime. Erased at
-  /// departure — the unordered_map's node-based storage keeps the record
-  /// pointer in VmRuntime stable meanwhile.
-  struct OwnedVm {
-    trace::VmRecord record;
-    VmRuntime rt;
-  };
-  std::unordered_map<std::uint64_t, OwnedVm> active_;
+  /// Active VMs by id, each holding its materialized record. Erased at
+  /// departure; the node-based storage keeps VmRuntime pointers stable
+  /// meanwhile.
+  std::unordered_map<std::uint64_t, VmRuntime> active_;
   std::size_t peak_active_ = 0;
 
-  // --- shared per-run context (set per mode, read by build_metrics) -----------
+  // --- per-run context (read by build_metrics) --------------------------------
   sim::SimTime horizon_;
-  res::ResourceVector trace_peak_committed_;
   std::uint64_t vm_count_ = 0;
   std::uint64_t deflatable_count_ = 0;
-  /// Non-admission unserved demand (vector mode: final index-order pass;
-  /// streaming mode: accumulated as VMs are released).
+  /// Non-admission unserved demand, accumulated as VMs are released.
   double unserved_core_hours_ = 0.0;
 
   // accumulators

@@ -378,8 +378,8 @@ IndexedArrivalStream::IndexedArrivalStream(std::vector<ArrivalStub> stubs,
             });
   // Horizon + peak sweep over the index: arrivals in start order, with a
   // min-heap retiring departures before each arrival (departures at the
-  // same instant free capacity first, matching
-  // TraceDrivenSimulator::peak_committed).
+  // same instant free capacity first). The one peak sweep: the
+  // simulator's record-vector sizing helpers run it too.
   using Departure = std::pair<sim::SimTime, res::ResourceVector>;
   const auto later = [](const Departure& a, const Departure& b) {
     return a.first > b.first;

@@ -68,7 +68,8 @@ class VmArrivalStream {
 
 /// The one concrete stream: a sorted stub index plus a windowed
 /// materializer. All three sources are an index + a (seed, id)-keyed
-/// record function.
+/// record function; TraceDrivenSimulator indexes an in-memory record
+/// vector the same way.
 class IndexedArrivalStream final : public VmArrivalStream {
  public:
   using Materializer = std::function<VmRecord(std::uint64_t id)>;
@@ -177,8 +178,8 @@ struct ReplayConfig {
     const ReplayConfig& config);
 
 /// Servers that set cluster overcommitment to `overcommit` for the
-/// stream's trace — the stub-index equivalent of
-/// TraceDrivenSimulator::servers_for_overcommit, O(index) memory.
+/// stream's trace, O(index) memory. The one sizing formula:
+/// TraceDrivenSimulator::servers_for_overcommit delegates here.
 [[nodiscard]] std::size_t servers_for_overcommit(
     const VmArrivalStream& stream, const res::ResourceVector& server_capacity,
     double overcommit);

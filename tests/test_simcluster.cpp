@@ -53,6 +53,25 @@ TEST(SimCluster, PeakCommittedMatchesHandCount) {
   EXPECT_DOUBLE_EQ(peak.memory(), 24576.0);
 }
 
+TEST(SimCluster, DuplicateVmIdsAreRejected) {
+  // Two VMs that share an id but never overlap in time: deflation,
+  // preemption and migration callbacks are keyed by id, so the second VM
+  // would silently receive the first one's events.
+  std::vector<tr::VmRecord> records(2);
+  records[0].id = 5;
+  records[0].start = deflate::sim::SimTime::from_hours(0);
+  records[0].end = deflate::sim::SimTime::from_hours(1);
+  records[1].id = 5;
+  records[1].start = deflate::sim::SimTime::from_hours(2);
+  records[1].end = deflate::sim::SimTime::from_hours(3);
+  try {
+    sc::TraceDrivenSimulator simulator(records, config_for(records, 0.0));
+    FAIL() << "duplicate vm id accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "trace replay: duplicate vm id 5");
+  }
+}
+
 TEST(SimCluster, ServerSizingInverseInOvercommit) {
   const auto records = small_trace();
   const res::ResourceVector cap{48.0, 128.0 * 1024.0, 1e9, 1e9};

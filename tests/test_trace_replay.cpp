@@ -194,32 +194,10 @@ TEST(TraceReplayParity, StreamingMatchesMaterializedVectorReplay) {
   simcluster::TraceDrivenSimulator vector_sim(records, golden_config());
   const simcluster::SimMetrics v = vector_sim.run();
 
-  // Event order is identical, so every counter matches exactly.
-  EXPECT_EQ(s.vm_count, v.vm_count);
-  EXPECT_EQ(s.deflatable_count, v.deflatable_count);
-  EXPECT_EQ(s.rejections, v.rejections);
-  EXPECT_EQ(s.preemptions, v.preemptions);
-  EXPECT_EQ(s.revocations, v.revocations);
-  EXPECT_EQ(s.revocation_migrations, v.revocation_migrations);
-  EXPECT_EQ(s.revocation_kills, v.revocation_kills);
-  EXPECT_EQ(s.live_migrations, v.live_migrations);
-  EXPECT_EQ(s.checkpoint_restores, v.checkpoint_restores);
-  EXPECT_EQ(s.checkpoint_kills, v.checkpoint_kills);
-  EXPECT_EQ(s.admission_deferrals, v.admission_deferrals);
-  EXPECT_EQ(s.admission_expired, v.admission_expired);
-  EXPECT_EQ(s.admission_retries, v.admission_retries);
-  // Per-VM integrals accumulate at VM release in both modes (same order):
-  // exact. The two final reductions that differ in summation order
-  // (unserved billed at release vs. one index-ordered pass; the peak sweep
-  // heap vs. sorted vector) compare within FP tolerance.
-  EXPECT_EQ(s.throughput_loss, v.throughput_loss);
-  EXPECT_EQ(s.mean_cpu_deflation, v.mean_cpu_deflation);
-  EXPECT_EQ(s.migration_downtime_hours, v.migration_downtime_hours);
-  EXPECT_NEAR(s.unserved_core_hours, v.unserved_core_hours,
-              1e-6 * std::max(1.0, v.unserved_core_hours));
-  EXPECT_NEAR(s.achieved_overcommit, v.achieved_overcommit, 1e-9);
-  EXPECT_NEAR(s.cost.total_cost(), v.cost.total_cost(),
-              1e-6 * std::max(1.0, v.cost.total_cost()));
+  // Both inputs run the same event loop over the same stub sweep, so every
+  // field matches bit for bit.
+  expect_identical(s, v, "streaming-vs-vector");
+  EXPECT_EQ(vector_sim.peak_active_records(), 171U);
 }
 
 // --- bounded memory ---------------------------------------------------------
