@@ -53,6 +53,56 @@ static void bench_fitness(benchmark::State& state) {
 }
 BENCHMARK(bench_fitness);
 
+// --- the placement scan over the SoA table ---------------------------------
+
+namespace {
+
+deflate::cluster::HostScanTable make_table(std::size_t n) {
+  deflate::util::Rng rng(42);
+  deflate::cluster::HostScanTable table;
+  table.resize(n, {48.0, 131072.0, 4000.0, 40000.0});
+  for (std::size_t i = 0; i < n; ++i) {
+    // Separate statements: the draws must not depend on the compiler's
+    // argument evaluation order.
+    const ResourceVector available{
+        rng.uniform(0.0, 48.0), rng.uniform(0.0, 131072.0),
+        rng.uniform(0.0, 4000.0), rng.uniform(0.0, 40000.0)};
+    const ResourceVector deflatable{rng.uniform(0.0, 24.0),
+                                    rng.uniform(0.0, 65536.0), 0.0, 0.0};
+    table.set_row(i, available, deflatable, rng.uniform(0.5, 2.0));
+    table.set_status(i, true, rng.bernoulli(0.95));
+  }
+  return table;
+}
+
+}  // namespace
+
+/// One serial scan_pick_host over every server. range(0) = servers,
+/// range(1) = scorer (0 fitness, 1 best-fit), range(2) = feasibility
+/// (0 free capacity, 1 with deflation, scored under pressure as place_vm
+/// does). Items are candidates, so items/s inverts to ns per server.
+static void bench_scan_pick_host(benchmark::State& state) {
+  const auto servers = static_cast<std::size_t>(state.range(0));
+  const auto table = make_table(servers);
+  std::vector<std::size_t> candidates(servers);
+  for (std::size_t i = 0; i < servers; ++i) candidates[i] = i;
+  const auto scorer = deflate::cluster::make_placement_scorer(
+      state.range(1) == 0 ? "fitness" : "best-fit");
+  const bool with_deflation = state.range(2) == 1;
+  const auto feasibility =
+      with_deflation ? deflate::cluster::ScanFeasibility::WithDeflation
+                     : deflate::cluster::ScanFeasibility::FreeCapacity;
+  const ResourceVector demand(8.0, 16384.0, 100.0, 1000.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(deflate::cluster::scan_pick_host(
+        *scorer, demand, table, candidates, feasibility, with_deflation));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(bench_scan_pick_host)
+    ->ArgsProduct({{304, 10000}, {0, 1}, {0, 1}})
+    ->ArgNames({"servers", "best_fit", "with_deflation"});
+
 // --- end-to-end manager placement: flat scan vs sharded routing ------------
 
 namespace {

@@ -34,8 +34,7 @@ ClusterManager::ClusterManager(ClusterConfig config)
   nodes_.reserve(config_.server_count);
   view_dirty_.assign(config_.server_count, 0);
   dirty_queue_.reserve(config_.server_count);
-  scan_.capacity = config_.server_capacity;
-  scan_.resize(config_.server_count);
+  scan_.resize(config_.server_count, config_.server_capacity);
   for (std::size_t i = 0; i < config_.server_count; ++i) {
     auto node = std::make_unique<ServerNode>(i, config_);
     node->controller = std::make_unique<core::LocalDeflationController>(
@@ -77,30 +76,42 @@ void ClusterManager::flush_views() {
 
 FleetAggregate ClusterManager::aggregate_free() {
   flush_views();
-  FleetAggregate aggregate;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i]->active) continue;
-    aggregate.available += scan_.available_of(i);
-    aggregate.deflatable += scan_.deflatable_of(i);
-    ++aggregate.active_servers;
+  // Column sums in server order, one accumulator per column: the same
+  // per-dimension addition sequence as summing the rows as vectors.
+  const std::uint8_t* active = scan_.active_column();
+  const ResourceColumns av = scan_.available_columns();
+  const ResourceColumns df = scan_.deflatable_columns();
+  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  double f0 = 0.0, f1 = 0.0, f2 = 0.0, f3 = 0.0;
+  std::size_t count = 0;
+  for (std::size_t i = 0, n = scan_.size(); i < n; ++i) {
+    if (!active[i]) continue;
+    a0 += av.cpu[i];
+    a1 += av.memory[i];
+    a2 += av.disk_bw[i];
+    a3 += av.net_bw[i];
+    f0 += df.cpu[i];
+    f1 += df.memory[i];
+    f2 += df.disk_bw[i];
+    f3 += df.net_bw[i];
+    ++count;
   }
-  return aggregate;
+  return {{a0, a1, a2, a3}, {f0, f1, f2, f3}, count};
 }
 
 void ClusterManager::refresh_view(std::size_t server) {
   ServerNode& node = *nodes_[server];
   const hv::Host& host = node.hypervisor.host();
-  scan_.set_available(server, host.available());
-  scan_.set_deflatable(server,
-                       config_.mode == ReclamationMode::Deflation
-                           ? node.controller->reclaimable_headroom()
-                           : res::ResourceVector{});
-  scan_.overcommit[server] = host.overcommit_ratio();
+  scan_.set_row(server, host.available(),
+                config_.mode == ReclamationMode::Deflation
+                    ? node.controller->reclaimable_headroom()
+                    : res::ResourceVector{},
+                host.overcommit_ratio());
 }
 
 void ClusterManager::update_eligible(std::size_t server) {
   const ServerNode& node = *nodes_[server];
-  scan_.eligible[server] = node.active && node.accepting ? 1 : 0;
+  scan_.set_status(server, node.active, node.accepting);
 }
 
 std::vector<std::size_t> ClusterManager::candidate_servers(

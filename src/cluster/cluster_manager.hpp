@@ -270,9 +270,10 @@ class ClusterManager : public ClusterManagerBase {
   /// them because place_vm flushes first.
   void flush_views() override;
 
-  /// Fleet-wide free + reclaimable capacity from the cached views (exact:
-  /// flushes first). O(server_count); the sharded scheduler calls this per
-  /// shard on its own flush cadence, not per placement.
+  /// Fleet-wide free + reclaimable capacity of the active servers, summed
+  /// off the scan table's columns (exact: flushes first). O(server_count);
+  /// the sharded scheduler calls this per shard on its own flush cadence,
+  /// not per placement.
   [[nodiscard]] FleetAggregate aggregate_free();
 
   /// Re-resolves the placement scorer from the registry by name (PolicySet
@@ -283,6 +284,11 @@ class ClusterManager : public ClusterManagerBase {
 
   [[nodiscard]] const PlacementScorer& placement_scorer() const noexcept {
     return *scorer_;
+  }
+
+  /// The SoA scan rows placement computes on (exact after flush_views).
+  [[nodiscard]] const HostScanTable& scan_table() const noexcept {
+    return scan_;
   }
 
  private:
@@ -300,7 +306,7 @@ class ClusterManager : public ClusterManagerBase {
   /// Queues `server` for a view rescan at the next flush (dedups repeated
   /// mutations of the same server between placements).
   void mark_view_dirty(std::size_t server);
-  /// Mirrors active && accepting into the scan table's eligibility column.
+  /// Mirrors active and accepting into the scan table's status columns.
   void update_eligible(std::size_t server);
   [[nodiscard]] std::vector<std::size_t> candidate_servers(
       const hv::VmSpec& spec) const;

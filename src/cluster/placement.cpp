@@ -1,6 +1,7 @@
 #include "cluster/placement.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <stdexcept>
 
@@ -82,6 +83,179 @@ const char* placement_strategy_name(PlacementStrategy s) noexcept {
   return "?";
 }
 
+// --- the selection loop -----------------------------------------------------
+
+namespace {
+
+static_assert(res::kNumResources == 4,
+              "the scan kernels spell out one column per resource");
+
+/// The scan's strict total order on (key, server id): higher key, then
+/// lowest id. It is the serial preference, so merging chunk winners under
+/// it in any order yields the serial sweep's answer.
+bool ranks_before(double key, std::size_t host, const ScanWinner& best) {
+  return !best.valid || key > best.key ||
+         (key == best.key && host < best.host);
+}
+
+/// Negatives to zero, as ResourceVector::clamped_nonneg() does it.
+double clamp0(double v) { return v < 0.0 ? 0.0 : v; }
+
+/// The one selection loop: every scorer, and both the serial and the
+/// chunked scans, run it. It owns the eligibility mask, the feasibility
+/// test (ResourceVector::all_leq's `>` with 1e-9) and the total order;
+/// `key_of(server)` scores one feasible server. Column pointers and the
+/// demand live in scalar locals: loops over small per-resource arrays
+/// compile to stack round trips.
+template <bool kWithDeflation, class KeyOf>
+ScanWinner select_loop(const ScanRequest& request, std::size_t lo,
+                       std::size_t hi, const KeyOf& key_of) {
+  constexpr double kEps = 1e-9;
+  const std::size_t* candidates = request.candidates.data();
+  const std::uint8_t* eligible = request.table.eligible_column();
+  const ResourceColumns av = request.table.available_columns();
+  const ResourceColumns df = request.table.deflatable_columns();
+  const double d0 = request.demand.cpu();
+  const double d1 = request.demand.memory();
+  const double d2 = request.demand.disk_bw();
+  const double d3 = request.demand.net_bw();
+
+  ScanWinner best;
+  for (std::size_t c = lo; c < hi; ++c) {
+    const std::size_t s = candidates[c];
+    if (!eligible[s]) continue;
+    if constexpr (kWithDeflation) {
+      if (clamp0(d0 - av.cpu[s]) > df.cpu[s] + kEps ||
+          clamp0(d1 - av.memory[s]) > df.memory[s] + kEps ||
+          clamp0(d2 - av.disk_bw[s]) > df.disk_bw[s] + kEps ||
+          clamp0(d3 - av.net_bw[s]) > df.net_bw[s] + kEps) {
+        continue;
+      }
+    } else {
+      if (d0 > av.cpu[s] + kEps || d1 > av.memory[s] + kEps ||
+          d2 > av.disk_bw[s] + kEps || d3 > av.net_bw[s] + kEps) {
+        continue;
+      }
+    }
+    const double key = key_of(s);
+    if (ranks_before(key, s, best)) best = {key, s, true};
+  }
+  return best;
+}
+
+template <class KeyOf>
+ScanWinner select_best(const ScanRequest& request, std::size_t lo,
+                       std::size_t hi, const KeyOf& key_of) {
+  return request.feasibility == ScanFeasibility::WithDeflation
+             ? select_loop<true>(request, lo, hi, key_of)
+             : select_loop<false>(request, lo, hi, key_of);
+}
+
+// Column scorers: each computes its builtin's per-host score from the
+// table's columns with the same operations in the same order (sums run
+// in resource order from 0.0), so the keys are the per-host scores bit for
+// bit.
+
+/// Capacity-normalized value, skipping dimensions without capacity as the
+/// per-host scores do.
+double per_capacity(double value, double capacity) {
+  return capacity > 0.0 ? value / capacity : 0.0;
+}
+
+/// fitness(): res::cosine_similarity(demand, A_j).
+struct CosineKey {
+  explicit CosineKey(const ScanRequest& request)
+      : a(request.table.availability_columns()),
+        norm(request.table.availability_norm_column()),
+        d0(request.demand.cpu()),
+        d1(request.demand.memory()),
+        d2(request.demand.disk_bw()),
+        d3(request.demand.net_bw()),
+        demand_norm(request.demand.norm()) {}
+
+  double operator()(std::size_t s) const {
+    const double dot = 0.0 + d0 * a.cpu[s] + d1 * a.memory[s] +
+                       d2 * a.disk_bw[s] + d3 * a.net_bw[s];
+    const double denom = demand_norm * norm[s];
+    return dot / (denom > 1e-12 ? denom : 1e-12);
+  }
+
+  ResourceColumns a;
+  const double* norm;
+  double d0, d1, d2, d3, demand_norm;
+};
+
+/// pressure_fitness(): the capacity-normalized A_j projected onto the
+/// capacity-normalized demand.
+struct ProjectionKey {
+  explicit ProjectionKey(const ScanRequest& request)
+      : a(request.table.availability_columns()),
+        c0(request.table.capacity().cpu()),
+        c1(request.table.capacity().memory()),
+        c2(request.table.capacity().disk_bw()),
+        c3(request.table.capacity().net_bw()),
+        n0(per_capacity(request.demand.cpu(), c0)),
+        n1(per_capacity(request.demand.memory(), c1)),
+        n2(per_capacity(request.demand.disk_bw(), c2)),
+        n3(per_capacity(request.demand.net_bw(), c3)),
+        demand_norm(res::ResourceVector(n0, n1, n2, n3).norm()) {}
+
+  double operator()(std::size_t s) const {
+    const double m0 = per_capacity(a.cpu[s], c0);
+    const double m1 = per_capacity(a.memory[s], c1);
+    const double m2 = per_capacity(a.disk_bw[s], c2);
+    const double m3 = per_capacity(a.net_bw[s], c3);
+    if (demand_norm <= 1e-12) {
+      return std::sqrt(0.0 + m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3);
+    }
+    return (0.0 + n0 * m0 + n1 * m1 + n2 * m2 + n3 * m3) / demand_norm;
+  }
+
+  ResourceColumns a;
+  double c0, c1, c2, c3, n0, n1, n2, n3, demand_norm;
+};
+
+/// leftover_score(), times `sign` (-1 for the LowerBetter best-fit).
+struct LeftoverKey {
+  LeftoverKey(const ScanRequest& request, double sign)
+      : a(request.table.availability_columns()),
+        c0(request.table.capacity().cpu()),
+        c1(request.table.capacity().memory()),
+        c2(request.table.capacity().disk_bw()),
+        c3(request.table.capacity().net_bw()),
+        d0(request.demand.cpu()),
+        d1(request.demand.memory()),
+        d2(request.demand.disk_bw()),
+        d3(request.demand.net_bw()),
+        sign(sign) {}
+
+  double operator()(std::size_t s) const {
+    const double l0 = clamp0(per_capacity(a.cpu[s] - d0, c0));
+    const double l1 = clamp0(per_capacity(a.memory[s] - d1, c1));
+    const double l2 = clamp0(per_capacity(a.disk_bw[s] - d2, c2));
+    const double l3 = clamp0(per_capacity(a.net_bw[s] - d3, c3));
+    return sign * std::sqrt(0.0 + l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3);
+  }
+
+  ResourceColumns a;
+  double c0, c1, c2, c3, d0, d1, d2, d3, sign;
+};
+
+}  // namespace
+
+ScanWinner PlacementScorer::scan_range(const ScanRequest& request,
+                                       std::size_t lo, std::size_t hi) const {
+  const Order order = this->order();
+  if (order == Order::ById) {
+    return select_best(request, lo, hi, [](std::size_t) { return 0.0; });
+  }
+  const double sign = order == Order::LowerBetter ? -1.0 : 1.0;
+  return select_best(request, lo, hi, [&](std::size_t server) {
+    return sign * score(request.demand, request.table.view_of(server),
+                        request.under_pressure);
+  });
+}
+
 // --- builtin scorers --------------------------------------------------------
 
 namespace {
@@ -103,8 +277,17 @@ class FitnessScorer final : public PlacementScorer {
     return under_pressure ? pressure_fitness(demand, host)
                           : fitness(demand, host);
   }
+  [[nodiscard]] ScanWinner scan_range(const ScanRequest& request,
+                                      std::size_t lo,
+                                      std::size_t hi) const override {
+    if (request.under_pressure) {
+      return select_best(request, lo, hi, ProjectionKey(request));
+    }
+    return select_best(request, lo, hi, CosineKey(request));
+  }
 };
 
+/// Lowest feasible id: the default scan_range keys every server 0.0.
 class FirstFitScorer final : public PlacementScorer {
  public:
   [[nodiscard]] Order order() const noexcept override { return Order::ById; }
@@ -123,6 +306,11 @@ class BestFitScorer final : public PlacementScorer {
                              const HostView& host, bool) const override {
     return leftover_score(demand, host);
   }
+  [[nodiscard]] ScanWinner scan_range(const ScanRequest& request,
+                                      std::size_t lo,
+                                      std::size_t hi) const override {
+    return select_best(request, lo, hi, LeftoverKey(request, -1.0));
+  }
 };
 
 class WorstFitScorer final : public PlacementScorer {
@@ -133,6 +321,11 @@ class WorstFitScorer final : public PlacementScorer {
   [[nodiscard]] double score(const res::ResourceVector& demand,
                              const HostView& host, bool) const override {
     return leftover_score(demand, host);
+  }
+  [[nodiscard]] ScanWinner scan_range(const ScanRequest& request,
+                                      std::size_t lo,
+                                      std::size_t hi) const override {
+    return select_best(request, lo, hi, LeftoverKey(request, 1.0));
   }
 };
 
@@ -236,78 +429,63 @@ std::optional<std::size_t> pick_host(const PlacementScorer& scorer,
 
 // --- SoA scan table ---------------------------------------------------------
 
-void HostScanTable::resize(std::size_t servers) {
-  for (auto& column : available) column.assign(servers, 0.0);
-  for (auto& column : deflatable) column.assign(servers, 0.0);
-  overcommit.assign(servers, 0.0);
-  eligible.assign(servers, 1);
+void HostScanTable::resize(std::size_t servers,
+                           const res::ResourceVector& capacity) {
+  capacity_ = capacity;
+  for (auto* columns : {&available_, &deflatable_, &availability_}) {
+    for (auto& column : *columns) column.assign(servers, 0.0);
+  }
+  overcommit_.assign(servers, 0.0);
+  availability_norm_.assign(servers, 0.0);
+  active_.assign(servers, 1);
+  eligible_.assign(servers, 1);
 }
 
-void HostScanTable::set_available(std::size_t i,
-                                  const res::ResourceVector& v) noexcept {
-  for (std::size_t r = 0; r < res::kNumResources; ++r) {
-    available[r][i] = v[static_cast<res::Resource>(r)];
+void HostScanTable::set_row(std::size_t i, const res::ResourceVector& available,
+                            const res::ResourceVector& deflatable,
+                            double overcommit) noexcept {
+  HostView row;
+  row.available = available;
+  row.deflatable = deflatable;
+  row.overcommit_ratio = overcommit;
+  const res::ResourceVector a = availability_vector(row);
+  for (const res::Resource r : res::all_resources) {
+    const auto k = static_cast<std::size_t>(r);
+    available_[k][i] = available[r];
+    deflatable_[k][i] = deflatable[r];
+    availability_[k][i] = a[r];
   }
+  overcommit_[i] = overcommit;
+  availability_norm_[i] = a.norm();
 }
 
-void HostScanTable::set_deflatable(std::size_t i,
-                                   const res::ResourceVector& v) noexcept {
-  for (std::size_t r = 0; r < res::kNumResources; ++r) {
-    deflatable[r][i] = v[static_cast<res::Resource>(r)];
-  }
+void HostScanTable::set_status(std::size_t i, bool active,
+                               bool accepting) noexcept {
+  active_[i] = active ? 1 : 0;
+  eligible_[i] = active && accepting ? 1 : 0;
 }
 
 res::ResourceVector HostScanTable::available_of(std::size_t i) const noexcept {
-  return {available[0][i], available[1][i], available[2][i], available[3][i]};
+  return {available_[0][i], available_[1][i], available_[2][i],
+          available_[3][i]};
 }
 
 res::ResourceVector HostScanTable::deflatable_of(std::size_t i) const noexcept {
-  return {deflatable[0][i], deflatable[1][i], deflatable[2][i],
-          deflatable[3][i]};
+  return {deflatable_[0][i], deflatable_[1][i], deflatable_[2][i],
+          deflatable_[3][i]};
 }
 
 HostView HostScanTable::view_of(std::size_t i) const noexcept {
   HostView view;
   view.host_id = i;
-  view.capacity = capacity;
+  view.capacity = capacity_;
   view.available = available_of(i);
   view.deflatable = deflatable_of(i);
-  view.overcommit_ratio = overcommit[i];
+  view.overcommit_ratio = overcommit_[i];
   return view;
 }
 
 // --- deterministic (thread-count independent) strategy scan -----------------
-
-namespace {
-
-struct ScanBest {
-  double score = 0.0;
-  std::size_t host = 0;
-  bool valid = false;
-};
-
-/// Strict total order on (score, host id): exactly the serial pick_host
-/// preference, so merging chunk winners in *any* order yields the same
-/// final answer as one serial sweep. Ties always break by lowest host id
-/// here — the scan's determinism contract — even for scorers whose span
-/// path keeps the first-seen winner.
-bool scan_better(PlacementScorer::Order order, double score, std::size_t host,
-                 const ScanBest& best) {
-  if (!best.valid) return true;
-  switch (order) {
-    case PlacementScorer::Order::HigherBetter:
-      if (score != best.score) return score > best.score;
-      return host < best.host;
-    case PlacementScorer::Order::LowerBetter:
-      if (score != best.score) return score < best.score;
-      return host < best.host;
-    case PlacementScorer::Order::ById:
-      return host < best.host;
-  }
-  return false;
-}
-
-}  // namespace
 
 std::optional<std::size_t> scan_pick_host(PlacementStrategy strategy,
                                           const res::ResourceVector& demand,
@@ -327,47 +505,25 @@ std::optional<std::size_t> scan_pick_host(const PlacementScorer& scorer,
                                           ScanFeasibility feasibility,
                                           bool under_pressure,
                                           util::ThreadPool* pool) {
-  const PlacementScorer::Order order = scorer.order();
-  const auto evaluate = [&](std::size_t begin, std::size_t end,
-                            ScanBest& best) {
-    for (std::size_t c = begin; c < end; ++c) {
-      const std::size_t server = candidates[c];
-      if (!table.eligible[server]) continue;
-      const res::ResourceVector avail = table.available_of(server);
-      if (feasibility == ScanFeasibility::FreeCapacity) {
-        if (!demand.all_leq(avail, 1e-9)) continue;
-      } else {
-        const res::ResourceVector need = (demand - avail).clamped_nonneg();
-        if (!need.all_leq(table.deflatable_of(server), 1e-9)) continue;
-      }
-      double score = 0.0;
-      if (order != PlacementScorer::Order::ById) {
-        score = scorer.score(demand, table.view_of(server), under_pressure);
-      }
-      if (scan_better(order, score, server, best)) {
-        best = {score, server, true};
-      }
-    }
-  };
-
+  const ScanRequest request{demand, table, candidates, feasibility,
+                            under_pressure};
   // Below this size the chunk dispatch costs more than the scan; the cutoff
   // cannot change results (serial and chunked agree bit-for-bit), only
   // where the work runs.
   constexpr std::size_t kMinParallelScan = 1024;
-  ScanBest best;
+  ScanWinner best;
   if (pool == nullptr || pool->size() <= 1 ||
       candidates.size() < kMinParallelScan) {
-    evaluate(0, candidates.size(), best);
+    best = scorer.scan_range(request, 0, candidates.size());
   } else {
     std::mutex merge_mutex;
     util::parallel_for(pool, candidates.size(),
                        [&](std::size_t begin, std::size_t end) {
-                         ScanBest local;
-                         evaluate(begin, end, local);
+                         const ScanWinner local =
+                             scorer.scan_range(request, begin, end);
                          if (!local.valid) return;
                          std::scoped_lock lock(merge_mutex);
-                         if (scan_better(order, local.score, local.host,
-                                         best)) {
+                         if (ranks_before(local.key, local.host, best)) {
                            best = local;
                          }
                        });

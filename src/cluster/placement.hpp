@@ -23,7 +23,8 @@
 
 namespace deflate::cluster {
 
-/// Cheap per-server snapshot maintained by the cluster manager.
+/// Per-server snapshot: the span path's input, and what
+/// HostScanTable::view_of materializes for per-host scorers.
 struct HostView {
   std::uint64_t host_id = 0;
   res::ResourceVector capacity;
@@ -68,10 +69,35 @@ enum class PlacementStrategy { Fitness, FirstFit, BestFit, WorstFit };
 
 [[nodiscard]] const char* placement_strategy_name(PlacementStrategy s) noexcept;
 
+class HostScanTable;
+
+/// Which feasibility test the scan applies (the two passes of place_vm):
+/// free capacity alone, or free capacity plus policy-deflatable headroom.
+enum class ScanFeasibility { FreeCapacity, WithDeflation };
+
+/// One placement scan's inputs: score the eligible, feasible servers among
+/// `candidates` for `demand`.
+struct ScanRequest {
+  const res::ResourceVector& demand;
+  const HostScanTable& table;
+  std::span<const std::size_t> candidates;
+  ScanFeasibility feasibility;
+  bool under_pressure;
+};
+
+/// Best server of a scanned range. `key` is the score oriented so that
+/// higher always wins: LowerBetter scores are negated (exact in IEEE
+/// arithmetic) and ById scorers key every server 0.0.
+struct ScanWinner {
+  double key = 0.0;
+  std::size_t host = 0;
+  bool valid = false;
+};
+
 /// Strategy object behind PlacementStrategy: scores one (demand, host)
-/// pair; the shared selection loops (pick_host / scan_pick_host) own the
-/// feasibility mask and the deterministic tie order. Scorers are stateless
-/// and shared across threads.
+/// pair; the shared selection loops own the feasibility mask and the
+/// deterministic tie order. Scorers are stateless and shared across
+/// threads.
 class PlacementScorer {
  public:
   /// How the selection loop ranks scores. ById skips scoring entirely
@@ -90,9 +116,19 @@ class PlacementScorer {
     return false;
   }
 
+  /// Per-host score: the span path (pick_host) and the plugin scan path.
   [[nodiscard]] virtual double score(const res::ResourceVector& demand,
                                      const HostView& host,
                                      bool under_pressure) const = 0;
+
+  /// Winner among `request.candidates[lo, hi)`: one virtual call per scan
+  /// (or per chunk), running the one selection loop of placement.cpp.
+  /// The default scores each candidate through `score(view_of(i))`; the
+  /// builtins override it to score straight off the table's columns, bit
+  /// for bit the same as their `score`.
+  [[nodiscard]] virtual ScanWinner scan_range(const ScanRequest& request,
+                                              std::size_t lo,
+                                              std::size_t hi) const;
 };
 
 /// Registry surface for placement scoring policies.
@@ -133,46 +169,97 @@ using PlacementRegistry = policy::PolicyRegistry<PlacementSurface>;
     const PlacementScorer& scorer, const res::ResourceVector& demand,
     std::span<const HostView> hosts, bool under_pressure = false);
 
-/// SoA (structure-of-arrays) per-server scan storage: one dense column per
-/// view field, indexed by server id. The placement scoring loop and the
-/// deflation sweeps read a handful of sequential double streams instead of
-/// striding over per-server structs behind pointers, so the hot scan is
-/// cache-linear and trivially chunkable across worker threads.
-struct HostScanTable {
-  /// Fleet-uniform server capacity (every server shares the config's).
-  res::ResourceVector capacity;
-  std::array<std::vector<double>, res::kNumResources> available;
-  std::array<std::vector<double>, res::kNumResources> deflatable;
-  std::vector<double> overcommit;
-  /// active && accepting: the scan considers only eligible servers.
-  std::vector<std::uint8_t> eligible;
-
-  void resize(std::size_t servers);
-  [[nodiscard]] std::size_t size() const noexcept { return overcommit.size(); }
-
-  void set_available(std::size_t i, const res::ResourceVector& v) noexcept;
-  void set_deflatable(std::size_t i, const res::ResourceVector& v) noexcept;
-  [[nodiscard]] res::ResourceVector available_of(std::size_t i) const noexcept;
-  [[nodiscard]] res::ResourceVector deflatable_of(std::size_t i) const noexcept;
-  /// Materializes the classic HostView for server `i` (bit-identical to
-  /// what the old per-node views held — the columns store the same
-  /// doubles), for the cold paths that still want the struct form.
-  [[nodiscard]] HostView view_of(std::size_t i) const noexcept;
+/// One HostScanTable field's per-resource columns, in resource order.
+/// Named members rather than an array, so the kernels keep each pointer in
+/// a register instead of indexing a small array through the stack.
+struct ResourceColumns {
+  const double* cpu;
+  const double* memory;
+  const double* disk_bw;
+  const double* net_bw;
 };
 
-/// Which feasibility test the scan applies (the two passes of place_vm):
-/// free capacity alone, or free capacity plus policy-deflatable headroom.
-enum class ScanFeasibility { FreeCapacity, WithDeflation };
+/// SoA (structure-of-arrays) per-server scan storage: one dense column per
+/// field, indexed by server id. Placement computes on these columns: the
+/// scan reads a handful of sequential double streams through raw column
+/// pointers, never a per-server struct, so the hot loop is cache-linear and
+/// trivially chunkable across worker threads. `set_row` is the only writer
+/// of a server's state, and it derives the availability vector A_j and its
+/// norm there, so the derived columns cannot go stale.
+class HostScanTable {
+ public:
+  /// Zeroed rows, all servers active and eligible; `capacity` is
+  /// fleet-uniform (every server shares the config's).
+  void resize(std::size_t servers, const res::ResourceVector& capacity);
+  [[nodiscard]] std::size_t size() const noexcept { return overcommit_.size(); }
+  [[nodiscard]] const res::ResourceVector& capacity() const noexcept {
+    return capacity_;
+  }
+
+  /// Writes server `i`'s state, and A_j = availability_vector(view_of(i))
+  /// with its norm into the derived columns.
+  void set_row(std::size_t i, const res::ResourceVector& available,
+               const res::ResourceVector& deflatable,
+               double overcommit) noexcept;
+  /// Active servers count toward the aggregates; the scan considers only
+  /// eligible ones (active && accepting).
+  void set_status(std::size_t i, bool active, bool accepting) noexcept;
+
+  [[nodiscard]] res::ResourceVector available_of(std::size_t i) const noexcept;
+  [[nodiscard]] res::ResourceVector deflatable_of(std::size_t i) const noexcept;
+  /// Materializes the classic HostView for server `i` from the same
+  /// doubles, for the per-host scorers and the cold paths.
+  [[nodiscard]] HostView view_of(std::size_t i) const noexcept;
+
+  // Raw columns, for the scan kernels and the aggregate column sums.
+  [[nodiscard]] ResourceColumns available_columns() const noexcept {
+    return columns(available_);
+  }
+  [[nodiscard]] ResourceColumns deflatable_columns() const noexcept {
+    return columns(deflatable_);
+  }
+  /// A_j.
+  [[nodiscard]] ResourceColumns availability_columns() const noexcept {
+    return columns(availability_);
+  }
+  /// |A_j|.
+  [[nodiscard]] const double* availability_norm_column() const noexcept {
+    return availability_norm_.data();
+  }
+  [[nodiscard]] const std::uint8_t* active_column() const noexcept {
+    return active_.data();
+  }
+  [[nodiscard]] const std::uint8_t* eligible_column() const noexcept {
+    return eligible_.data();
+  }
+
+ private:
+  using Columns = std::array<std::vector<double>, res::kNumResources>;
+  static ResourceColumns columns(const Columns& c) noexcept {
+    return {c[0].data(), c[1].data(), c[2].data(), c[3].data()};
+  }
+
+  res::ResourceVector capacity_;
+  Columns available_;
+  Columns deflatable_;
+  std::vector<double> overcommit_;
+  Columns availability_;
+  std::vector<double> availability_norm_;
+  std::vector<std::uint8_t> active_;
+  std::vector<std::uint8_t> eligible_;
+};
 
 /// Strategy scan over the SoA table restricted to `candidates` (ineligible
-/// servers are skipped). Returns the winning *server id*. Semantics are
-/// identical to filtering the candidates and calling pick_host: same
-/// feasibility epsilons, same scores, ties broken by lowest host id.
+/// servers are skipped). Returns the winning *server id*: the feasible
+/// candidate with the best per-host score (same feasibility epsilons, same
+/// scores as pick_host), ties broken by lowest host id. Serially it is one
+/// `scorer.scan_range` call over all candidates.
 ///
 /// When `pool` is non-null and the candidate set is large, the scan is
-/// chunked across the pool's workers. The reduction merges chunk winners
-/// under the same total order (score, then lowest id), so the result is
-/// bit-identical for any thread count — including zero (serial).
+/// chunked across the pool's workers, one `scan_range` call per chunk. The
+/// reduction merges chunk winners under the same total order (score, then
+/// lowest id), so the result is bit-identical for any thread count —
+/// including zero (serial).
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
     PlacementStrategy strategy, const res::ResourceVector& demand,
     const HostScanTable& table, std::span<const std::size_t> candidates,

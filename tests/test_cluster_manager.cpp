@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace cl = deflate::cluster;
 namespace hv = deflate::hv;
 namespace res = deflate::res;
@@ -375,4 +380,60 @@ TEST(ClusterManager, DrainedServerRefusesPlacementsUntilRevokedOrRestored) {
   manager.remove_vm(1);
   EXPECT_TRUE(manager.place_vm(make_spec(2, 16, 32768.0, false)).ok());
   EXPECT_TRUE(manager.place_vm(make_spec(3, 16, 32768.0, false)).ok());
+}
+
+TEST(ClusterManager, AggregateFreeMatchesNaiveSumUnderChurn) {
+  // Random place / remove / revoke / restore / drain churn; after every
+  // step the column-sum aggregate must equal a naive per-server sum of the
+  // active rows, bit for bit, and every row must be fresh.
+  auto config = small_cluster(12);
+  cl::ClusterManager manager(config);
+  deflate::util::Rng rng(99);
+  std::vector<std::uint64_t> live;
+  std::uint64_t next_id = 1;
+  std::size_t restored_revoked = 0;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int step = 0; step < 3000; ++step) {
+    const double action = rng.u01();
+    const auto server = static_cast<std::size_t>(rng.uniform_int(0, 11));
+    if (action < 0.55) {
+      const int vcpus = static_cast<int>(rng.uniform_int(1, 4)) * 2;
+      const auto spec = make_spec(next_id++, vcpus, vcpus * 2048.0,
+                                  rng.bernoulli(0.6), rng.uniform(0.2, 1.0));
+      if (manager.place_vm(spec).ok()) live.push_back(spec.id);
+    } else if (action < 0.85 && !live.empty()) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      manager.remove_vm(live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+    } else if (action < 0.9) {
+      manager.revoke_server(server);
+    } else if (action < 0.95) {
+      if (!manager.server_active(server)) ++restored_revoked;
+      manager.restore_server(server);
+    } else {
+      manager.drain_server(server);
+    }
+
+    const cl::FleetAggregate aggregate = manager.aggregate_free();
+    const cl::HostScanTable& table = manager.scan_table();
+    res::ResourceVector available;
+    res::ResourceVector deflatable;
+    std::size_t active = 0;
+    for (std::size_t i = 0; i < manager.server_count(); ++i) {
+      ASSERT_EQ(table.available_of(i), manager.host(i).available());
+      if (!manager.server_active(i)) continue;
+      available += table.available_of(i);
+      deflatable += table.deflatable_of(i);
+      ++active;
+    }
+    ASSERT_EQ(aggregate.active_servers, active);
+    ASSERT_EQ(aggregate.active_servers, manager.active_server_count());
+    for (const res::Resource r : res::all_resources) {
+      ASSERT_EQ(bits(aggregate.available[r]), bits(available[r])) << step;
+      ASSERT_EQ(bits(aggregate.deflatable[r]), bits(deflatable[r])) << step;
+    }
+  }
+  EXPECT_GT(restored_revoked, 10u);
 }
