@@ -21,9 +21,8 @@ int main() {
   std::cout << "trace: " << records.size() << " VMs, " << servers
             << " servers (50% overcommit)\n\n";
 
-  const cluster::PlacementStrategy strategies[] = {
-      cluster::PlacementStrategy::Fitness, cluster::PlacementStrategy::FirstFit,
-      cluster::PlacementStrategy::BestFit, cluster::PlacementStrategy::WorstFit};
+  const char* const strategies[] = {"fitness", "first-fit", "best-fit",
+                                    "worst-fit"};
 
   std::vector<bench::SweepCase> cases;
   for (const auto strategy : strategies) {
@@ -39,7 +38,7 @@ int main() {
                      "mean_deflation_%"});
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& metrics = cases[i].metrics;
-    table.add_row_labeled(cluster::placement_strategy_name(strategies[i]),
+    table.add_row_labeled(strategies[i],
                           {100.0 * metrics.failure_probability,
                            100.0 * metrics.throughput_loss,
                            100.0 * metrics.mean_cpu_deflation},

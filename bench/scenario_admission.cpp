@@ -84,7 +84,7 @@ int main() {
   // revocation window.
   base.market.price.shock_multiplier = 8.0;
   base.market.price.shock_rate_per_hour = 1.0 / 18.0;
-  base.market.revocation.model = transient::RevocationModel::PriceCrossing;
+  base.market.revocation.model = "price";
   base.market.revocation.bid = 0.5;
   base.market.portfolio.on_demand_floor = 0.2;
   // Fixed 25% on-demand split for the policy comparison (see header).
@@ -98,30 +98,24 @@ int main() {
 
   const auto with_policy = [&](simcluster::SimConfig config,
                                cluster::ReclamationMode mode,
-                               cluster::AdmissionPolicyKind policy) {
+                               const std::string& policy) {
     config.mode = mode;
     config.admission.policy = policy;
     config.admission.default_ceiling = config.market.revocation.bid;
     config.admission.max_defer_hours = 12.0;
-    if (policy == cluster::AdmissionPolicyKind::BidOptimized) {
-      config.market.optimize_bids = true;
-    }
+    if (policy == "bid-opt") config.market.optimize_bids = true;
     return config;
   };
 
-  const cluster::AdmissionPolicyKind policies[] = {
-      cluster::AdmissionPolicyKind::AdmitAll,
-      cluster::AdmissionPolicyKind::PriceThreshold,
-      cluster::AdmissionPolicyKind::BidOptimized,
-  };
+  const std::string policies[] = {"admit-all", "price", "bid-opt"};
 
   std::vector<bench::SweepCase> cases;
-  for (const auto policy : policies) {  // gated: preemption baseline
+  for (const std::string& policy : policies) {  // gated: preemption baseline
     cases.push_back(
         {0.0, with_policy(base, cluster::ReclamationMode::Preemption, policy),
          {}});
   }
-  for (const auto policy : policies) {  // informational: deflation
+  for (const std::string& policy : policies) {  // informational: deflation
     cases.push_back(
         {0.0, with_policy(base, cluster::ReclamationMode::Deflation, policy),
          {}});

@@ -34,14 +34,13 @@ using namespace deflate;
 
 struct Strategy {
   const char* label;
-  bool deflate_before_transfer;
-  bool checkpoint_fallback;
+  const char* name;  ///< migration registry name
 };
 
 constexpr Strategy kStrategies[] = {
-    {"migration", false, false},
-    {"deflation", true, false},
-    {"hybrid", true, true},
+    {"migration", "migrate"},
+    {"deflation", "deflate"},
+    {"hybrid", "hybrid"},
 };
 
 }  // namespace
@@ -61,8 +60,7 @@ int main() {
       records, base.server_capacity, -0.2);
   base.market_enabled = true;
   base.market.seed = 7;
-  base.market.revocation.model =
-      transient::RevocationModel::TemporallyConstrained;
+  base.market.revocation.model = "temporal";
   base.market.portfolio.on_demand_floor = 0.2;
   std::cout << "trace: " << records.size() << " VMs, fleet "
             << base.server_count
@@ -87,9 +85,7 @@ int main() {
       c.config.market.revocation.warning_hours = warning / 3600.0;
       c.config.migration.model.bandwidth_mib_per_sec = 256.0;
       c.config.migration.model.dirty_mib_per_sec = 64.0;
-      c.config.migration.deflate_before_transfer =
-          strategy.deflate_before_transfer;
-      c.config.migration.checkpoint_fallback = strategy.checkpoint_fallback;
+      c.config.migration.strategy = strategy.name;
       cases.push_back(c);
     }
   }

@@ -38,7 +38,7 @@ sim::SimTime horizon() { return sim::SimTime::from_hours(72); }
 transient::MarketEngineConfig base_config() {
   transient::MarketEngineConfig config;
   config.price.volatility = 0.08;
-  config.revocation.model = transient::RevocationModel::PriceCrossing;
+  config.revocation.model = "price";
   config.revocation.bid = 0.6;
   config.common_shock_rate_per_hour = 1.0 / 36.0;
   config.common_shock_decay_hours = 2.0;

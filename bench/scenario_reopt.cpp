@@ -72,7 +72,7 @@ int main() {
       records, base.server_capacity, -0.2);
   base.market_enabled = true;
   base.market.seed = 11;
-  base.market.revocation.model = transient::RevocationModel::Poisson;
+  base.market.revocation.model = "poisson";
   base.market.revocation.poisson_rate_per_hour = 1.0 / 12.0;
   base.market.portfolio.on_demand_floor = 0.2;
   base.market.replicate_markets(3, 0.45);

@@ -27,7 +27,7 @@ int main() {
 
   struct Scenario {
     std::string label;
-    transient::RevocationModel model;
+    const char* model;  ///< revocation registry name
     double poisson_rate;  // per hour, Poisson only
     cluster::ReclamationMode mode;
   };
@@ -37,13 +37,13 @@ int main() {
     const char* suffix =
         mode == cluster::ReclamationMode::Deflation ? "deflate" : "preempt";
     scenarios.push_back({std::string("poisson mtbr 48h / ") + suffix,
-                         transient::RevocationModel::Poisson, 1.0 / 48.0,
+                         "poisson", 1.0 / 48.0,
                          mode});
     scenarios.push_back({std::string("poisson mtbr 12h / ") + suffix,
-                         transient::RevocationModel::Poisson, 1.0 / 12.0,
+                         "poisson", 1.0 / 12.0,
                          mode});
     scenarios.push_back({std::string("temporal 24h cap / ") + suffix,
-                         transient::RevocationModel::TemporallyConstrained,
+                         "temporal",
                          0.0, mode});
   }
 

@@ -60,7 +60,7 @@ simcluster::SimConfig parity_config(std::size_t servers) {
   config.shard_count = 8;
   config.market_enabled = true;
   config.market.seed = 7;
-  config.market.revocation.model = transient::RevocationModel::Poisson;
+  config.market.revocation.model = "poisson";
   return config;
 }
 

@@ -41,8 +41,7 @@ int main() {
   config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
   config.market_enabled = true;
   config.market.seed = 7;
-  config.market.revocation.model =
-      transient::RevocationModel::TemporallyConstrained;
+  config.market.revocation.model = "temporal";
   config.market.revocation.max_lifetime_hours = 24.0;
   config.market.portfolio.on_demand_floor = 0.2;
   config.market.portfolio.risk_aversion = 2.0;
@@ -81,8 +80,7 @@ int main() {
     if (row.timed_migration) {
       run_config.market.revocation.warning_hours = 60.0 / 3600.0;
       run_config.migration.model.bandwidth_mib_per_sec = 256.0;
-      run_config.migration.deflate_before_transfer = true;
-      run_config.migration.checkpoint_fallback = true;
+      run_config.migration.strategy = "hybrid";
     }
     simcluster::TraceDrivenSimulator simulator(records, run_config);
     const auto metrics = simulator.run();

@@ -1,7 +1,6 @@
 #include "cluster/admission.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace deflate::cluster {
 
@@ -21,15 +20,6 @@ struct PendingBefore {
 };
 
 }  // namespace
-
-const char* admission_policy_name(AdmissionPolicyKind p) noexcept {
-  switch (p) {
-    case AdmissionPolicyKind::AdmitAll: return "admit-all";
-    case AdmissionPolicyKind::PriceThreshold: return "price-threshold";
-    case AdmissionPolicyKind::BidOptimized: return "bid-optimized";
-  }
-  return "?";
-}
 
 AdmissionRequest AdmissionRequest::from_spec(const hv::VmSpec& spec,
                                             sim::SimTime arrival) {
@@ -291,41 +281,17 @@ AdmissionDecision PriceThresholdAdmission::evaluate(
   return decision;
 }
 
-// --- factory ----------------------------------------------------------------
-
-std::unique_ptr<AdmissionController> make_admission_controller(
-    AdmissionConfig config, ClusterManagerBase& manager, PriceFeed feed) {
-  switch (config.policy) {
-    case AdmissionPolicyKind::AdmitAll:
-      return std::make_unique<AdmitAllAdmission>(std::move(config), manager,
-                                                 std::move(feed));
-    case AdmissionPolicyKind::PriceThreshold:
-      return std::make_unique<PriceThresholdAdmission>(std::move(config),
-                                                       manager,
-                                                       std::move(feed));
-    case AdmissionPolicyKind::BidOptimized:
-      return std::make_unique<BidOptimizedAdmission>(std::move(config),
-                                                     manager,
-                                                     std::move(feed));
-  }
-  return std::make_unique<AdmitAllAdmission>(std::move(config), manager,
-                                             std::move(feed));
-}
-
 // --- registry surface -------------------------------------------------------
 
 namespace {
 
-/// Builtin factory: forces the entry's kind onto the caller's config and
-/// dispatches through make_admission_controller — the name picked the
-/// policy, whatever kind the config carried.
-AdmissionSurface::Factory builtin(AdmissionPolicyKind kind) {
-  return [kind](const AdmissionConfig& config, ClusterManagerBase& manager,
-                PriceFeed feed) {
-    AdmissionConfig selected = config;
-    selected.policy = kind;
-    return make_admission_controller(std::move(selected), manager,
-                                     std::move(feed));
+/// Builtin factory: the concrete controller class behind a registry name.
+template <typename Controller>
+AdmissionSurface::Factory builtin() {
+  return [](AdmissionConfig config, ClusterManagerBase& manager,
+            PriceFeed feed) -> std::unique_ptr<AdmissionController> {
+    return std::make_unique<Controller>(std::move(config), manager,
+                                        std::move(feed));
   };
 }
 
@@ -333,41 +299,25 @@ AdmissionSurface::Factory builtin(AdmissionPolicyKind kind) {
 
 void AdmissionSurface::register_builtins(
     policy::PolicyRegistry<AdmissionSurface>& registry) {
-  registry.add("admit-all", "legacy contract: every request placed on arrival",
-               builtin(AdmissionPolicyKind::AdmitAll));
+  registry.add(AdmissionPolicyKind::AdmitAll,
+               "legacy contract: every request placed on arrival",
+               builtin<AdmitAllAdmission>());
   registry.add(
-      "price",
+      AdmissionPolicyKind::PriceThreshold,
       "defer deflatable classes while the spot quote exceeds the ceiling",
-      builtin(AdmissionPolicyKind::PriceThreshold), {"price-threshold"},
+      builtin<PriceThresholdAdmission>(), {"price-threshold"},
       {{"default_ceiling", "spot ceiling for classes without one", 0.35},
        {"max_defer_hours", "deferral window without a deadline", 6.0}});
-  registry.add("bid-opt",
+  registry.add(AdmissionPolicyKind::BidOptimized,
                "price thresholds supplied by the per-class bid optimizer",
-               builtin(AdmissionPolicyKind::BidOptimized), {"bid-optimized"});
+               builtin<BidOptimizedAdmission>(), {"bid-optimized"});
 }
 
-std::unique_ptr<AdmissionController> make_admission_controller_by_name(
-    const std::string& name, const AdmissionConfig& config,
-    ClusterManagerBase& manager, PriceFeed feed) {
-  const auto* entry = AdmissionRegistry::instance().find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument(
-        "unknown admission policy '" + name + "' (expected " +
-        policy::joined_policy_names<AdmissionSurface>() + ")");
-  }
-  return entry->make(config, manager, std::move(feed));
-}
-
-std::optional<AdmissionPolicyKind> admission_policy_from_name(
-    const std::string& name) noexcept {
-  if (name == "admit-all") return AdmissionPolicyKind::AdmitAll;
-  if (name == "price" || name == "price-threshold") {
-    return AdmissionPolicyKind::PriceThreshold;
-  }
-  if (name == "bid-opt" || name == "bid-optimized") {
-    return AdmissionPolicyKind::BidOptimized;
-  }
-  return std::nullopt;
+std::unique_ptr<AdmissionController> make_admission_controller(
+    AdmissionConfig config, ClusterManagerBase& manager, PriceFeed feed) {
+  const AdmissionRegistry::Entry& entry =
+      AdmissionRegistry::instance().resolve(config.policy);
+  return entry.make(std::move(config), manager, std::move(feed));
 }
 
 }  // namespace deflate::cluster

@@ -109,12 +109,21 @@ struct AdmissionDecision {
   }
 };
 
-enum class AdmissionPolicyKind { AdmitAll, PriceThreshold, BidOptimized };
-
-[[nodiscard]] const char* admission_policy_name(AdmissionPolicyKind p) noexcept;
+/// The builtin admission policies' primary registry names (the registry
+/// registers them under these constants). Only a scope of name constants:
+/// it keeps code written against the retired enum of the same name
+/// compiling, since `config.policy = AdmissionPolicyKind::BidOptimized`
+/// now assigns the name.
+namespace AdmissionPolicyKind {
+inline constexpr const char* AdmitAll = "admit-all";
+inline constexpr const char* PriceThreshold = "price";
+inline constexpr const char* BidOptimized = "bid-opt";
+}  // namespace AdmissionPolicyKind
 
 struct AdmissionConfig {
-  AdmissionPolicyKind policy = AdmissionPolicyKind::AdmitAll;
+  /// Admission registry name (admit-all, price, bid-opt, an alias or a
+  /// plugin), resolved by make_admission_controller.
+  std::string policy = AdmissionPolicyKind::AdmitAll;
   /// Per-class spot ceilings, indexed by priority class (entry 0 is the
   /// on-demand class and is ignored — class 0 is never deferred). Classes
   /// beyond the vector use `default_ceiling`. The BidOptimized policy
@@ -292,37 +301,23 @@ class BidOptimizedAdmission final : public PriceThresholdAdmission {
   using PriceThresholdAdmission::PriceThresholdAdmission;
 };
 
-[[nodiscard]] std::unique_ptr<AdmissionController> make_admission_controller(
-    AdmissionConfig config, ClusterManagerBase& manager, PriceFeed feed);
-
-/// Registry surface for admission policies — the generalization of PR 6's
-/// net::AdmissionPolicyRegistry (which is now an alias of this registry;
-/// plugins registered through either spelling are the same process-wide
-/// set). Names: admit-all, price, bid-opt.
+/// Registry surface for admission policies. Names: admit-all, price,
+/// bid-opt.
 struct AdmissionSurface {
   static constexpr const char* kSurfaceName = "admission";
   static constexpr const char* kSurfaceDescription =
       "price-aware request/decision protocol in front of placement";
-  /// Builds a controller over the caller's manager and price feed. The
-  /// config's `policy` kind is advisory — the name picked the entry.
+  /// Builds a controller over the caller's manager and price feed.
   using Factory = std::function<std::unique_ptr<AdmissionController>(
-      const AdmissionConfig&, ClusterManagerBase&, PriceFeed)>;
+      AdmissionConfig, ClusterManagerBase&, PriceFeed)>;
   static void register_builtins(policy::PolicyRegistry<AdmissionSurface>&);
 };
 
 using AdmissionRegistry = policy::PolicyRegistry<AdmissionSurface>;
 
-/// Builds a registered policy's controller by name; throws
-/// std::invalid_argument naming the valid choices when unknown.
-[[nodiscard]] std::unique_ptr<AdmissionController>
-make_admission_controller_by_name(const std::string& name,
-                                  const AdmissionConfig& config,
-                                  ClusterManagerBase& manager, PriceFeed feed);
-
-/// Reverse mapping from a *registry* name to the legacy enum (the registry
-/// vocabulary admit-all/price/bid-opt differs from admission_policy_name's
-/// admit-all/price-threshold/bid-optimized; both spellings resolve here).
-[[nodiscard]] std::optional<AdmissionPolicyKind> admission_policy_from_name(
-    const std::string& name) noexcept;
+/// Builds the controller of the registry entry `config.policy` names;
+/// throws std::invalid_argument naming the valid choices when unknown.
+[[nodiscard]] std::unique_ptr<AdmissionController> make_admission_controller(
+    AdmissionConfig config, ClusterManagerBase& manager, PriceFeed feed);
 
 }  // namespace deflate::cluster

@@ -16,10 +16,7 @@ ClusterManager::ServerNode::ServerNode(std::uint64_t id,
 ClusterManager::ClusterManager(ClusterConfig config)
     : config_(std::move(config)),
       policy_(core::make_policy(config_.policy)),
-      scorer_(make_placement_scorer(
-          config_.placement_name.empty()
-              ? placement_strategy_name(config_.placement)
-              : config_.placement_name)),
+      scorer_(make_placement_scorer(config_.placement)),
       partitions_(config_.partitioned
                       ? ClusterPartitions(config_.server_count, config_.pool_weights)
                       : ClusterPartitions::single_pool(config_.server_count)) {
@@ -442,10 +439,7 @@ void ClusterManager::rebind_placement(const std::string& name) {
   // make_placement_scorer throws before scorer_ is touched, so a bad name
   // leaves the current binding in place.
   scorer_ = make_placement_scorer(name);
-  config_.placement_name = name;
-  if (const auto strategy = placement_strategy_from_name(name)) {
-    config_.placement = *strategy;
-  }
+  config_.placement = name;
 }
 
 }  // namespace deflate::cluster

@@ -37,14 +37,10 @@ struct ClusterConfig {
   /// Which mechanism the local controllers drive (ablation: hybrid vs
   /// transparent vs explicit vs balloon).
   mech::MechanismKind mechanism = mech::MechanismKind::Hybrid;
-  /// Host-ranking heuristic (ablation: paper's fitness vs first/best/worst
-  /// fit). Thin alias into the placement policy registry; ignored when
-  /// `placement_name` is set.
-  PlacementStrategy placement = PlacementStrategy::Fitness;
-  /// Registry name of the placement scorer (PolicySet path). Empty =
-  /// resolve the builtin aliased by `placement`. Unknown names throw
-  /// std::invalid_argument at construction.
-  std::string placement_name;
+  /// Host-ranking policy: a placement registry name (ablation: the
+  /// paper's fitness vs first/best/worst fit, or a plugin). Unknown names
+  /// throw std::invalid_argument at construction.
+  std::string placement = "fitness";
   /// When false, departures do not trigger reinflation (ablation for the
   /// §5.1.3 reinflation rule).
   bool reinflate_on_departure = true;
@@ -276,10 +272,10 @@ class ClusterManager : public ClusterManagerBase {
   /// not per placement.
   [[nodiscard]] FleetAggregate aggregate_free();
 
-  /// Re-resolves the placement scorer from the registry by name (PolicySet
-  /// re-binding). Only call at a tick barrier — between flush_views and the
-  /// next place_vm — so no in-flight placement straddles two policies.
-  /// Throws std::invalid_argument on unknown names (state unchanged).
+  /// Re-resolves the placement scorer from the registry by name. Only
+  /// call at a tick barrier — between flush_views and the next place_vm —
+  /// so no in-flight placement straddles two policies. Throws
+  /// std::invalid_argument on unknown names (state unchanged).
   void rebind_placement(const std::string& name);
 
   [[nodiscard]] const PlacementScorer& placement_scorer() const noexcept {

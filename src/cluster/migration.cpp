@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace deflate::cluster {
 
@@ -20,6 +19,13 @@ void MigrationSurface::register_builtins(
                  return MigrationStrategy{.deflate_before_transfer = true,
                                           .checkpoint_fallback = false};
                });
+  registry.add("checkpoint",
+               "full-footprint pre-copy; a missed deadline checkpoint-"
+               "relaunches the VM",
+               [] {
+                 return MigrationStrategy{.deflate_before_transfer = false,
+                                          .checkpoint_fallback = true};
+               });
   registry.add("hybrid",
                "deflated transfer + checkpoint-relaunch fallback (the paper's "
                "deflation + checkpointing hybrid)",
@@ -30,23 +36,7 @@ void MigrationSurface::register_builtins(
 }
 
 MigrationStrategy make_migration_strategy(const std::string& name) {
-  const auto* entry = MigrationRegistry::instance().find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument(
-        "unknown migration strategy '" + name + "' (expected " +
-        policy::joined_policy_names<MigrationSurface>() + ")");
-  }
-  return entry->make();
-}
-
-MigrationEngineConfig resolve_migration_strategy(MigrationEngineConfig config) {
-  if (!config.strategy_name.empty()) {
-    const MigrationStrategy strategy =
-        make_migration_strategy(config.strategy_name);
-    config.deflate_before_transfer = strategy.deflate_before_transfer;
-    config.checkpoint_fallback = strategy.checkpoint_fallback;
-  }
-  return config;
+  return MigrationRegistry::instance().resolve(name).make();
 }
 
 MigrationEstimate MigrationModel::precopy(double memory_mib,
@@ -105,7 +95,7 @@ int MigrationEngine::contention_streams(std::size_t residents) const noexcept {
 }
 
 double MigrationEngine::transfer_mib(const hv::VmSpec& spec) const {
-  if (!config_.deflate_before_transfer) return spec.memory_mib;
+  if (!strategy_.deflate_before_transfer) return spec.memory_mib;
   const double fraction = std::clamp(
       std::max(spec.min_fraction, config_.model.deflated_transfer_fraction),
       0.0, 1.0);
@@ -209,8 +199,8 @@ RevocationFinish MigrationEngine::finish_revocation(
       manager_.remove_vm(spec.id);
     }
     PlacementResult placed;
-    if (config_.checkpoint_fallback) placed = manager_.place_vm(spec);
-    if (config_.checkpoint_fallback && placed.ok()) {
+    if (strategy_.checkpoint_fallback) placed = manager_.place_vm(spec);
+    if (strategy_.checkpoint_fallback && placed.ok()) {
       ++result.outcome.vms_migrated;
       ++stats_.checkpoint_restores;
       MigrationRecord record;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
-#include <stdexcept>
 
 namespace deflate::cluster {
 
@@ -71,16 +70,6 @@ std::optional<std::size_t> pick_best_host(const res::ResourceVector& demand,
     }
   }
   return best;
-}
-
-const char* placement_strategy_name(PlacementStrategy s) noexcept {
-  switch (s) {
-    case PlacementStrategy::Fitness: return "fitness";
-    case PlacementStrategy::FirstFit: return "first-fit";
-    case PlacementStrategy::BestFit: return "best-fit";
-    case PlacementStrategy::WorstFit: return "worst-fit";
-  }
-  return "?";
 }
 
 // --- the selection loop -----------------------------------------------------
@@ -342,16 +331,6 @@ std::shared_ptr<const PlacementScorer> borrow(const PlacementScorer& scorer) {
 
 }  // namespace
 
-const PlacementScorer& builtin_placement_scorer(PlacementStrategy s) noexcept {
-  switch (s) {
-    case PlacementStrategy::Fitness: return kFitnessScorer;
-    case PlacementStrategy::FirstFit: return kFirstFitScorer;
-    case PlacementStrategy::BestFit: return kBestFitScorer;
-    case PlacementStrategy::WorstFit: return kWorstFitScorer;
-  }
-  return kFitnessScorer;
-}
-
 void PlacementSurface::register_builtins(
     policy::PolicyRegistry<PlacementSurface>& registry) {
   registry.add("fitness",
@@ -368,31 +347,7 @@ void PlacementSurface::register_builtins(
 
 std::shared_ptr<const PlacementScorer> make_placement_scorer(
     const std::string& name) {
-  const auto* entry = PlacementRegistry::instance().find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument(
-        "unknown placement policy '" + name + "' (expected " +
-        policy::joined_policy_names<PlacementSurface>() + ")");
-  }
-  return entry->make();
-}
-
-std::optional<PlacementStrategy> placement_strategy_from_name(
-    const std::string& name) noexcept {
-  for (const PlacementStrategy s :
-       {PlacementStrategy::Fitness, PlacementStrategy::FirstFit,
-        PlacementStrategy::BestFit, PlacementStrategy::WorstFit}) {
-    if (name == placement_strategy_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::size_t> pick_host(PlacementStrategy strategy,
-                                     const res::ResourceVector& demand,
-                                     std::span<const HostView> hosts,
-                                     bool under_pressure) {
-  return pick_host(builtin_placement_scorer(strategy), demand, hosts,
-                   under_pressure);
+  return PlacementRegistry::instance().resolve(name).make();
 }
 
 std::optional<std::size_t> pick_host(const PlacementScorer& scorer,
@@ -486,17 +441,6 @@ HostView HostScanTable::view_of(std::size_t i) const noexcept {
 }
 
 // --- deterministic (thread-count independent) strategy scan -----------------
-
-std::optional<std::size_t> scan_pick_host(PlacementStrategy strategy,
-                                          const res::ResourceVector& demand,
-                                          const HostScanTable& table,
-                                          std::span<const std::size_t> candidates,
-                                          ScanFeasibility feasibility,
-                                          bool under_pressure,
-                                          util::ThreadPool* pool) {
-  return scan_pick_host(builtin_placement_scorer(strategy), demand, table,
-                        candidates, feasibility, under_pressure, pool);
-}
 
 std::optional<std::size_t> scan_pick_host(const PlacementScorer& scorer,
                                           const res::ResourceVector& demand,

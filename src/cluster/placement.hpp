@@ -60,15 +60,6 @@ struct HostView {
     const res::ResourceVector& demand, std::span<const HostView> hosts,
     bool under_pressure = false);
 
-/// Placement-strategy ablation (DESIGN.md §5): the paper's fitness policy
-/// vs the classic bin-packing heuristics it competes with (§5.2 "policies
-/// such as best-fit or first-fit can be used"). Kept as a thin alias over
-/// the placement policy registry: every enum value maps to a registered
-/// builtin scorer, and all legacy config paths resolve through it.
-enum class PlacementStrategy { Fitness, FirstFit, BestFit, WorstFit };
-
-[[nodiscard]] const char* placement_strategy_name(PlacementStrategy s) noexcept;
-
 class HostScanTable;
 
 /// Which feasibility test the scan applies (the two passes of place_vm):
@@ -94,10 +85,10 @@ struct ScanWinner {
   bool valid = false;
 };
 
-/// Strategy object behind PlacementStrategy: scores one (demand, host)
-/// pair; the shared selection loops own the feasibility mask and the
-/// deterministic tie order. Scorers are stateless and shared across
-/// threads.
+/// A placement policy (the registry's "placement" surface): scores one
+/// (demand, host) pair; the shared selection loops own the feasibility
+/// mask and the deterministic tie order. Scorers are stateless and shared
+/// across threads.
 class PlacementScorer {
  public:
   /// How the selection loop ranks scores. ById skips scoring entirely
@@ -142,29 +133,16 @@ struct PlacementSurface {
 
 using PlacementRegistry = policy::PolicyRegistry<PlacementSurface>;
 
-/// The builtin scorer a legacy enum value aliases (static lifetime).
-[[nodiscard]] const PlacementScorer& builtin_placement_scorer(
-    PlacementStrategy s) noexcept;
-
 /// Resolves a registered scorer by name; throws std::invalid_argument
 /// naming the valid choices when unknown.
 [[nodiscard]] std::shared_ptr<const PlacementScorer> make_placement_scorer(
     const std::string& name);
 
-/// Reverse mapping for the legacy-enum config surfaces (nullopt for
-/// plugin-registered names that have no enum alias).
-[[nodiscard]] std::optional<PlacementStrategy> placement_strategy_from_name(
-    const std::string& name) noexcept;
-
-/// Strategy-parameterized host selection over the same feasibility mask:
-///   FirstFit — lowest host id; BestFit — least leftover capacity (tightest
-///   pack); WorstFit — most leftover capacity (max spreading).
-[[nodiscard]] std::optional<std::size_t> pick_host(
-    PlacementStrategy strategy, const res::ResourceVector& demand,
-    std::span<const HostView> hosts, bool under_pressure = false);
-
-/// Scorer-driven selection; the enum overload forwards here with the
-/// builtin scorer, bit-identical per strategy.
+/// Host selection over the feasible views, ranked by `scorer`: the
+/// paper's fitness vs the classic bin-packing heuristics it competes with
+/// (§5.2 "policies such as best-fit or first-fit can be used") —
+/// first-fit takes the lowest host id, best-fit the least leftover
+/// capacity (tightest pack), worst-fit the most (max spreading).
 [[nodiscard]] std::optional<std::size_t> pick_host(
     const PlacementScorer& scorer, const res::ResourceVector& demand,
     std::span<const HostView> hosts, bool under_pressure = false);
@@ -252,7 +230,8 @@ class HostScanTable {
 /// Strategy scan over the SoA table restricted to `candidates` (ineligible
 /// servers are skipped). Returns the winning *server id*: the feasible
 /// candidate with the best per-host score (same feasibility epsilons, same
-/// scores as pick_host), ties broken by lowest host id. Serially it is one
+/// scores as pick_host), ties broken by lowest host id whatever the
+/// scorer's span-path tie preference. Serially it is one
 /// `scorer.scan_range` call over all candidates.
 ///
 /// When `pool` is non-null and the candidate set is large, the scan is
@@ -260,15 +239,6 @@ class HostScanTable {
 /// reduction merges chunk winners under the same total order (score, then
 /// lowest id), so the result is bit-identical for any thread count —
 /// including zero (serial).
-[[nodiscard]] std::optional<std::size_t> scan_pick_host(
-    PlacementStrategy strategy, const res::ResourceVector& demand,
-    const HostScanTable& table, std::span<const std::size_t> candidates,
-    ScanFeasibility feasibility, bool under_pressure,
-    util::ThreadPool* pool = nullptr);
-
-/// Scorer-driven scan; the enum overload forwards here with the builtin
-/// scorer. Ties always break by lowest host id (the scan's total order),
-/// independent of the scorer's span-path tie preference.
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
     const PlacementScorer& scorer, const res::ResourceVector& demand,
     const HostScanTable& table, std::span<const std::size_t> candidates,

@@ -8,15 +8,6 @@
 
 namespace deflate::cluster {
 
-const char* shard_selection_name(ShardSelectionPolicy p) noexcept {
-  switch (p) {
-    case ShardSelectionPolicy::PowerOfTwoChoices: return "power-of-two";
-    case ShardSelectionPolicy::LeastLoaded: return "least-loaded";
-    case ShardSelectionPolicy::RoundRobin: return "round-robin";
-  }
-  return "?";
-}
-
 void ShardSelector::push_if_fits(const ShardScores& scores, std::size_t shard,
                                  std::vector<std::size_t>& picks) {
   if (scores.score(shard) >= 1.0 &&
@@ -90,23 +81,7 @@ void ShardSelectionSurface::register_builtins(
 }
 
 std::unique_ptr<ShardSelector> make_shard_selector(const std::string& name) {
-  const auto* entry = ShardSelectionRegistry::instance().find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument(
-        "unknown shard-selection policy '" + name + "' (expected " +
-        policy::joined_policy_names<ShardSelectionSurface>() + ")");
-  }
-  return entry->make();
-}
-
-std::optional<ShardSelectionPolicy> shard_selection_from_name(
-    const std::string& name) noexcept {
-  if (name == "p2c" || name == "power-of-two") {
-    return ShardSelectionPolicy::PowerOfTwoChoices;
-  }
-  if (name == "least-loaded") return ShardSelectionPolicy::LeastLoaded;
-  if (name == "round-robin") return ShardSelectionPolicy::RoundRobin;
-  return std::nullopt;
+  return ShardSelectionRegistry::instance().resolve(name).make();
 }
 
 namespace {
@@ -140,10 +115,7 @@ ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
     : config_(std::move(config)),
       total_servers_(config_.cluster.server_count),
       routing_rng_(util::Rng::keyed(config_.routing_seed, /*stream=*/0x5a4d)),
-      selector_(make_shard_selector(
-          config_.selection_name.empty()
-              ? shard_selection_name(config_.selection)
-              : config_.selection_name)) {
+      selector_(make_shard_selector(config_.selection)) {
   const std::size_t shard_count = clamp_shard_count(config_);
   if (config_.worker_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
@@ -291,10 +263,7 @@ void ShardedClusterManager::rebind_shard_selection(const std::string& name) {
   // make_shard_selector throws before selector_ is touched, so a bad name
   // leaves the current binding (and its state) in place.
   selector_ = make_shard_selector(name);
-  config_.selection_name = name;
-  if (const auto policy = shard_selection_from_name(name)) {
-    config_.selection = *policy;
-  }
+  config_.selection = name;
 }
 
 std::vector<std::size_t> ShardedClusterManager::route_tail(

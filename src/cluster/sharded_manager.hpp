@@ -39,24 +39,6 @@
 
 namespace deflate::cluster {
 
-/// How the scheduler picks the shard that gets to attempt a placement
-/// first. All policies fall back to the remaining shards (ordered by
-/// cached aggregate capacity) when the preferred shard rejects. Thin alias
-/// over the shard-selection policy registry (every value maps to a
-/// registered builtin ShardSelector).
-enum class ShardSelectionPolicy {
-  /// Sample two distinct shards, route to the one whose cached aggregate
-  /// fits more copies of the demand. O(1) per placement and within a
-  /// constant of least-loaded balance (the classic two-choices result).
-  PowerOfTwoChoices,
-  /// Scan every shard's cached aggregate and take the best. O(shards).
-  LeastLoaded,
-  /// Rotate through shards regardless of load.
-  RoundRobin,
-};
-
-[[nodiscard]] const char* shard_selection_name(ShardSelectionPolicy p) noexcept;
-
 /// Read-only per-shard routing scores for one placement. score(s) is how
 /// many copies of the demand shard s's cached aggregate could hold (the
 /// scheduler's shard_score); >= 1.0 means the shard fits the demand.
@@ -67,13 +49,14 @@ class ShardScores {
   [[nodiscard]] virtual double score(std::size_t shard) const = 0;
 };
 
-/// Strategy object behind ShardSelectionPolicy: appends the shards that
-/// should attempt the placement ahead of the score-sorted fallback tail,
-/// in preference order, via push_if_fits (which enforces the shared
-/// contract: a pick must fit the demand and may not repeat). Selectors may
-/// hold per-manager state (round-robin's cursor); randomness always comes
-/// from the scheduler's routing rng so the deterministic routing stream is
-/// policy-owned, never selector-owned.
+/// A shard-selection policy (the registry's "shard-selection" surface):
+/// appends the shards that should attempt a placement ahead of the
+/// fallback tail (the remaining shards, ordered by cached aggregate
+/// capacity), in preference order, via push_if_fits (which enforces the
+/// shared contract: a pick must fit the demand and may not repeat).
+/// Selectors may hold per-manager state (round-robin's cursor); randomness
+/// always comes from the scheduler's routing rng so the deterministic
+/// routing stream is policy-owned, never selector-owned.
 class ShardSelector {
  public:
   virtual ~ShardSelector() = default;
@@ -104,21 +87,18 @@ using ShardSelectionRegistry = policy::PolicyRegistry<ShardSelectionSurface>;
 [[nodiscard]] std::unique_ptr<ShardSelector> make_shard_selector(
     const std::string& name);
 
-/// Reverse mapping for the legacy-enum config surfaces (nullopt for
-/// plugin-registered names that have no enum alias).
-[[nodiscard]] std::optional<ShardSelectionPolicy> shard_selection_from_name(
-    const std::string& name) noexcept;
-
 struct ShardedClusterConfig {
   /// Fleet-wide configuration; `cluster.server_count` is the total fleet
   /// size, split near-evenly across shards.
   ClusterConfig cluster;
   std::size_t shard_count = 16;
-  ShardSelectionPolicy selection = ShardSelectionPolicy::PowerOfTwoChoices;
-  /// Registry name of the shard selector (PolicySet path; plugins land
-  /// here). Empty = resolve the builtin aliased by `selection`. Unknown
-  /// names throw std::invalid_argument at construction.
-  std::string selection_name;
+  /// Shard-selection registry name: `p2c` samples two distinct shards and
+  /// routes to the one whose cached aggregate fits more copies of the
+  /// demand (O(1) per placement, within a constant of least-loaded
+  /// balance); `least-loaded` scans every shard's aggregate; `round-robin`
+  /// rotates regardless of load; plugins register more. Unknown names
+  /// throw std::invalid_argument at construction.
+  std::string selection = "p2c";
   /// Seed of the (deterministic) routing stream used by power-of-two
   /// sampling; independent of the market / trace seeds.
   std::uint64_t routing_seed = 42;
@@ -197,11 +177,10 @@ class ShardedClusterManager : public ClusterManagerBase {
   /// refreshed aggregates are identical for any thread count.
   void flush_views() override;
 
-  /// Re-resolves the shard selector from the registry by name (PolicySet
-  /// re-binding). Only call at a tick barrier — selector state (e.g. the
-  /// round-robin cursor) resets, and no in-flight placement may straddle
-  /// two policies. Throws std::invalid_argument on unknown names (state
-  /// unchanged).
+  /// Re-resolves the shard selector from the registry by name. Only call
+  /// at a tick barrier — selector state (e.g. the round-robin cursor)
+  /// resets, and no in-flight placement may straddle two policies. Throws
+  /// std::invalid_argument on unknown names (state unchanged).
   void rebind_shard_selection(const std::string& name);
 
   // --- shard topology (introspection / tests) -------------------------------

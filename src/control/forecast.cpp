@@ -1,7 +1,5 @@
 #include "control/forecast.hpp"
 
-#include <stdexcept>
-
 namespace deflate::control {
 namespace {
 
@@ -65,14 +63,7 @@ void ControlSurface::register_builtins(
 
 std::shared_ptr<const ForecastPolicy> make_forecast_policy(
     const std::string& name) {
-  const auto* entry = ControlRegistry::instance().find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("unknown forecast policy '" + name +
-                                "' (expected " +
-                                policy::joined_policy_names<ControlSurface>() +
-                                ")");
-  }
-  return entry->make();
+  return ControlRegistry::instance().resolve(name).make();
 }
 
 }  // namespace deflate::control

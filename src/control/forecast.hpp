@@ -54,7 +54,7 @@ class ForecastPolicy {
 };
 
 /// Registry surface for forecast policies ("control" in list-policies,
-/// the Hello frame and PolicySet validation).
+/// the Hello frame and ControlConfig::forecast).
 struct ControlSurface {
   static constexpr const char* kSurfaceName = "control";
   static constexpr const char* kSurfaceDescription =

@@ -5,9 +5,9 @@
 #include <deque>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "cluster/wire.hpp"
-#include "net/registry.hpp"
 
 namespace deflate::net {
 
@@ -37,15 +37,6 @@ bool parse_u64(const std::map<std::string, std::string>& fields,
   char* end = nullptr;
   out = std::strtoull(it->second.c_str(), &end, 10);
   return end != nullptr && *end == '\0';
-}
-
-const char* shard_policy_token(cluster::ShardSelectionPolicy p) noexcept {
-  switch (p) {
-    case cluster::ShardSelectionPolicy::PowerOfTwoChoices: return "p2c";
-    case cluster::ShardSelectionPolicy::LeastLoaded: return "least-loaded";
-    case cluster::ShardSelectionPolicy::RoundRobin: return "round-robin";
-  }
-  return "p2c";
 }
 
 std::string join_ceilings(const std::vector<double>& ceilings) {
@@ -78,8 +69,7 @@ std::string encode_capture_header(const ServiceConfig& config) {
       {{"codec", std::to_string(kCodecVersion)},
        {"servers", std::to_string(config.server_count)},
        {"shards", std::to_string(config.shard_count)},
-       {"shard_policy", shard_policy_token(config.shard_policy)},
-       {"shard_policy_name", config.shard_policy_name},
+       {"shard_policy", config.shard_policy},
        {"placement", config.placement_policy},
        {"routing_seed", std::to_string(config.routing_seed)},
        {"admission", config.admission_policy},
@@ -107,6 +97,7 @@ std::optional<ServiceConfig> decode_capture_header(const std::string& line) {
   std::uint64_t codec = 0, servers = 0, shards = 0, routing_seed = 0,
                 price_seed = 0, step_us = 0;
   const auto policy_it = fields->find("shard_policy");
+  const auto placement_it = fields->find("placement");
   const auto admission_it = fields->find("admission");
   const auto ceilings_it = fields->find("ceilings");
   if (!parse_u64(*fields, "codec", codec) || codec != kCodecVersion ||
@@ -115,13 +106,11 @@ std::optional<ServiceConfig> decode_capture_header(const std::string& line) {
       !parse_u64(*fields, "routing_seed", routing_seed) ||
       !parse_u64(*fields, "price_seed", price_seed) ||
       !parse_u64(*fields, "spot_step_us", step_us) ||
-      policy_it == fields->end() || admission_it == fields->end() ||
-      ceilings_it == fields->end()) {
+      policy_it == fields->end() || placement_it == fields->end() ||
+      admission_it == fields->end() || ceilings_it == fields->end()) {
     return std::nullopt;
   }
-  const auto shard_policy = parse_shard_policy(policy_it->second);
-  if (!shard_policy.has_value() ||
-      !split_ceilings(ceilings_it->second, config.admission.class_ceilings) ||
+  if (!split_ceilings(ceilings_it->second, config.admission.class_ceilings) ||
       !parse_hexf(*fields, "default_ceiling",
                   config.admission.default_ceiling) ||
       !parse_hexf(*fields, "defer_hours", config.admission.max_defer_hours) ||
@@ -140,14 +129,11 @@ std::optional<ServiceConfig> decode_capture_header(const std::string& line) {
   }
   config.server_count = static_cast<std::size_t>(servers);
   config.shard_count = static_cast<std::size_t>(shards);
-  config.shard_policy = *shard_policy;
-  // Registry-name fields (absent in pre-policy-layer captures; replaying
-  // those keeps the enum-selected behavior, bit-identical).
-  if (const auto it = fields->find("shard_policy_name"); it != fields->end()) {
-    config.shard_policy_name = it->second;
-  }
-  if (const auto it = fields->find("placement"); it != fields->end()) {
-    config.placement_policy = it->second;
+  // Registry names, resolved when the replayer builds its ServiceCore. An
+  // empty `placement=` (older headers) means the default scorer.
+  config.shard_policy = policy_it->second;
+  if (!placement_it->second.empty()) {
+    config.placement_policy = placement_it->second;
   }
   config.routing_seed = routing_seed;
   config.admission_policy = admission_it->second;
@@ -200,7 +186,12 @@ ReplayReport replay_capture(const std::string& path) {
   const auto config = decode_capture_header(header_line);
   if (!config.has_value()) return failed("bad capture header");
 
-  ServiceCore core(*config);
+  std::optional<ServiceCore> core;
+  try {
+    core.emplace(*config);
+  } catch (const std::invalid_argument& error) {  // a policy name unknown here
+    return failed(error.what());
+  }
   std::map<std::uint32_t, ReplayConnection> connections;
   // Regenerated decisions not yet matched against a captured record, in
   // emission order: (conn id, frame bytes).
@@ -257,8 +248,8 @@ ReplayReport replay_capture(const std::string& path) {
             std::get_if<AdmissionRequestMsg>(&decoded.message)) {
       ++report.requests;
       auto& conn = connections[conn_id];
-      if (conn.controller == nullptr) conn.controller = core.make_controller();
-      const sim::SimTime now = core.advance_clock(request->request.arrival);
+      if (conn.controller == nullptr) conn.controller = core->make_controller();
+      const sim::SimTime now = core->advance_clock(request->request.arrival);
       // Same order as the live server: drain first, then the fresh decide.
       for (auto& resolved : conn.controller->drain(now)) {
         AdmissionDecisionMsg msg;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "net/registry.hpp"
 #include "policy/catalog.hpp"
 
 namespace deflate::net {
@@ -52,7 +51,7 @@ void Server::serve_connection(std::uint32_t conn_id,
     Hello hello;
     hello.server = core_.config().banner;
     hello.admission_policy = core_.config().admission_policy;
-    hello.policies = AdmissionPolicyRegistry::instance().names();
+    hello.policies = cluster::AdmissionRegistry::instance().names();
     for (const policy::SurfaceInfo& info : policy::describe_all_surfaces()) {
       PolicySurface surface;
       surface.surface = info.surface;

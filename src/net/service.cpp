@@ -1,19 +1,15 @@
 #include "net/service.hpp"
 
-#include <stdexcept>
-
-#include "net/registry.hpp"
-
 namespace deflate::net {
 
-ServiceCore::ServiceCore(const ServiceConfig& config) : config_(config) {
-  if (AdmissionPolicyRegistry::instance().find(config_.admission_policy) ==
-      nullptr) {
-    throw std::invalid_argument(
-        "unknown admission policy '" + config_.admission_policy +
-        "' (expected " +
-        policy::joined_policy_names<cluster::AdmissionSurface>() + ")");
-  }
+ServiceCore::ServiceCore(const ServiceConfig& config)
+    : config_(config), admission_(config.admission) {
+  admission_.policy = config_.admission_policy;
+  // Every name resolves up front, the shard selector too although a
+  // one-shard fleet never routes.
+  admission_entry_ =
+      &cluster::AdmissionRegistry::instance().resolve(admission_.policy);
+  cluster::ShardSelectionRegistry::instance().resolve(config_.shard_policy);
 
   if (config_.price_trace_hours > 0) {
     transient::SpotPriceConfig spot = config_.spot;
@@ -28,22 +24,15 @@ ServiceCore::ServiceCore(const ServiceConfig& config) : config_(config) {
 
   cluster::ShardedClusterConfig fleet;
   fleet.cluster.server_count = config_.server_count;
-  fleet.cluster.placement_name = config_.placement_policy;
+  fleet.cluster.placement = config_.placement_policy;
   fleet.shard_count = config_.shard_count;
   fleet.selection = config_.shard_policy;
-  fleet.selection_name = config_.shard_policy_name;
   fleet.routing_seed = config_.routing_seed;
-  // The manager ctor resolves both names through their registries and
-  // throws the same one-line "unknown … (expected a|b|c)" diagnostics.
   manager_ = cluster::make_cluster_manager(fleet);
 }
 
 std::unique_ptr<cluster::AdmissionController> ServiceCore::make_controller() {
-  const auto* entry =
-      AdmissionPolicyRegistry::instance().find(config_.admission_policy);
-  // Existence was checked in the constructor; a policy cannot be
-  // unregistered, so entry is non-null here.
-  return entry->make(config_.admission, *manager_, feed_);
+  return admission_entry_->make(admission_, *manager_, feed_);
 }
 
 sim::SimTime ServiceCore::advance_clock(sim::SimTime arrival) noexcept {

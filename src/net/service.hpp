@@ -30,22 +30,18 @@ struct ServiceConfig {
   // Fleet.
   std::size_t server_count = 40;
   std::size_t shard_count = 1;
-  cluster::ShardSelectionPolicy shard_policy =
-      cluster::ShardSelectionPolicy::PowerOfTwoChoices;
-  /// Registry name for shard selection; empty defers to `shard_policy`.
-  /// Required to select a link-time plugin selector (no enum value).
-  std::string shard_policy_name;
-  /// Registry name for placement scoring; empty keeps the default
-  /// (fitness). Unknown names throw std::invalid_argument at build.
-  std::string placement_policy;
+  /// Shard-selection registry name (p2c, least-loaded, round-robin or a
+  /// plugin).
+  std::string shard_policy = "p2c";
+  /// Placement registry name.
+  std::string placement_policy = "fitness";
   std::uint64_t routing_seed = 42;
 
   // Admission.
-  /// Registry name (net/registry.hpp): admit-all, price, bid-opt, or a
-  /// plugin-registered policy.
-  std::string admission_policy = "admit-all";
-  /// Ceilings / deferral window; the `policy` kind inside is ignored —
-  /// `admission_policy` picks the registry entry.
+  /// Admission registry name (admit-all, price, bid-opt or a plugin).
+  std::string admission_policy = cluster::AdmissionPolicyKind::AdmitAll;
+  /// Ceilings / deferral window. Its `policy` is not read: ServiceCore
+  /// writes `admission_policy` into the copy it builds controllers from.
   cluster::AdmissionConfig admission;
 
   // Market. price_trace_hours > 0 attaches a single-market OU spot trace
@@ -69,7 +65,8 @@ struct ServiceConfig {
 class ServiceCore {
  public:
   /// Builds trace, feed and manager. Throws std::invalid_argument when
-  /// the config names an unknown admission policy.
+  /// the config names an unknown admission, placement or shard-selection
+  /// policy.
   explicit ServiceCore(const ServiceConfig& config);
 
   /// A fresh controller for one connection, built by the registry entry
@@ -93,6 +90,10 @@ class ServiceCore {
 
  private:
   ServiceConfig config_;
+  /// `config_.admission` with `config_.admission_policy` as its policy,
+  /// and that policy's registry entry (resolved once, at construction).
+  cluster::AdmissionConfig admission_;
+  const cluster::AdmissionRegistry::Entry* admission_entry_ = nullptr;
   /// Backing storage for the feed (PriceFeed holds raw pointers).
   std::vector<transient::PriceTrace> traces_;
   cluster::PriceFeed feed_;

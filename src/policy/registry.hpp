@@ -36,13 +36,14 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace deflate::policy {
 
-/// Declarative description of one numeric knob a policy understands
-/// (resolution of a PolicySet validates parameter names against these).
+/// Declarative description of one numeric knob a policy understands (the
+/// config field it reads, listed by list-policies).
 struct ParamSpec {
   std::string name;
   std::string description;
@@ -55,14 +56,14 @@ class PolicyRegistry {
   using Factory = typename Surface::Factory;
 
   struct Entry {
-    /// Primary name (the CLI / PolicySet / wire vocabulary).
+    /// Primary name (the config / CLI / wire vocabulary).
     std::string name;
     /// One-line human description (list-policies, Hello self-description).
     std::string description;
     /// Alternate accepted spellings (e.g. "power-of-two" for "p2c").
     /// Aliases resolve through find() but are not enumerated by names().
     std::vector<std::string> aliases;
-    /// Numeric knobs the policy understands (PolicySet params).
+    /// Numeric knobs the policy understands.
     std::vector<ParamSpec> params;
     /// Builds the policy object; the surface defines the signature.
     Factory make;
@@ -110,6 +111,10 @@ class PolicyRegistry {
     std::scoped_lock lock(mutex_);
     return find_locked(name);
   }
+
+  /// find(), but an unknown name throws std::invalid_argument naming the
+  /// valid choices: the one diagnostic every config field shares.
+  const Entry& resolve(const std::string& name) const;
 
   /// Registered primary names, sorted (the enumeration vocabulary of
   /// list-policies, the Hello frame and error messages).
@@ -183,6 +188,15 @@ template <typename Surface>
     out += name;
   }
   return out;
+}
+
+template <typename Surface>
+const typename PolicyRegistry<Surface>::Entry& PolicyRegistry<Surface>::resolve(
+    const std::string& name) const {
+  if (const Entry* entry = find(name)) return *entry;
+  throw std::invalid_argument(std::string("unknown ") + Surface::kSurfaceName +
+                              " policy '" + name + "' (expected " +
+                              joined_policy_names<Surface>() + ")");
 }
 
 }  // namespace deflate::policy

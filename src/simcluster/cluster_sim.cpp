@@ -11,69 +11,21 @@ namespace deflate::simcluster {
 
 namespace {
 
-/// Resolves SimConfig::policies onto the legacy config fields: validated
-/// up front (one std::invalid_argument naming every problem), then each
-/// named choice is written into the owning subsystem's `*_name` field —
-/// those take precedence over the enums at construction time. Builtin
-/// names additionally sync the enum so code that still branches on it
-/// (bid optimization, market.enabled()) sees the same selection; plugin
-/// names leave the enum alone.
-void apply_policy_set(SimConfig& config) {
-  const policy::PolicySet& set = config.policies;
-  const std::vector<std::string> errors = set.validate();
-  if (!errors.empty()) {
-    std::string message = "SimConfig.policies: " + errors.front();
-    for (std::size_t i = 1; i < errors.size(); ++i) {
-      message += "; " + errors[i];
-    }
-    throw std::invalid_argument(message);
-  }
-  if (!set.placement.empty()) {
-    if (const auto kind = cluster::placement_strategy_from_name(set.placement.name)) {
-      config.placement = *kind;
-    }
-  }
-  if (!set.shard_selection.empty()) {
-    if (const auto kind = cluster::shard_selection_from_name(set.shard_selection.name)) {
-      config.shard_selection = *kind;
-    }
-  }
-  if (!set.migration.empty()) {
-    config.migration.strategy_name = set.migration.name;
-  }
-  if (!set.revocation.empty()) {
-    const auto apply = [&set](transient::RevocationConfig& rc) {
-      rc.model_name = set.revocation.name;
-      if (const auto kind = transient::revocation_model_from_name(set.revocation.name)) {
-        rc.model = *kind;
-      }
-      rc.poisson_rate_per_hour =
-          set.revocation.param_or("poisson_rate_per_hour", rc.poisson_rate_per_hour);
-      rc.max_lifetime_hours =
-          set.revocation.param_or("max_lifetime_hours", rc.max_lifetime_hours);
-      rc.early_fraction = set.revocation.param_or("early_fraction", rc.early_fraction);
-      rc.early_tau_hours = set.revocation.param_or("early_tau_hours", rc.early_tau_hours);
-      rc.late_shape = set.revocation.param_or("late_shape", rc.late_shape);
-      rc.bid = set.revocation.param_or("bid", rc.bid);
-    };
-    apply(config.market.revocation);
-    for (transient::MarketDef& market : config.market.markets) {
-      apply(market.revocation);
-    }
-  }
-  if (!set.admission.empty()) {
-    if (const auto kind = cluster::admission_policy_from_name(set.admission.name)) {
-      config.admission.policy = *kind;
-    }
-    config.admission.default_ceiling =
-        set.admission.param_or("default_ceiling", config.admission.default_ceiling);
-    config.admission.max_defer_hours =
-        set.admission.param_or("max_defer_hours", config.admission.max_defer_hours);
-  }
-  if (!set.control.empty()) {
-    config.control.forecast = set.control.name;
-    config.control.ewma_alpha =
-        set.control.param_or("alpha", config.control.ewma_alpha);
+/// Resolves every policy name the config carries, including those of the
+/// subsystems this run leaves unbuilt (a flat fleet's shard selector, an
+/// instant run's migration strategy, a disabled market's models), so an
+/// unknown name throws std::invalid_argument listing the valid choices at
+/// construction rather than never or mid-run.
+void check_policy_names(const SimConfig& config) {
+  cluster::PlacementRegistry::instance().resolve(config.placement);
+  cluster::ShardSelectionRegistry::instance().resolve(config.shard_selection);
+  cluster::MigrationRegistry::instance().resolve(config.migration.strategy);
+  cluster::AdmissionRegistry::instance().resolve(config.admission.policy);
+  control::ControlRegistry::instance().resolve(config.control.forecast);
+  transient::RevocationRegistry::instance().resolve(
+      config.market.revocation.model);
+  for (const transient::MarketDef& market : config.market.markets) {
+    transient::RevocationRegistry::instance().resolve(market.revocation.model);
   }
 }
 
@@ -87,7 +39,6 @@ cluster::ClusterConfig make_cluster_config(
   out.mode = config.mode;
   out.mechanism = config.mechanism;
   out.placement = config.placement;
-  out.placement_name = config.policies.placement.name;
   out.reinflate_on_departure = config.reinflate_on_departure;
   out.partitioned = config.partitioned;
   // Portfolio-driven capacity mixing: the mean-variance weights size the
@@ -113,7 +64,6 @@ std::unique_ptr<cluster::ClusterManagerBase> make_manager(
   sharded.cluster = make_cluster_config(config, plan);
   sharded.shard_count = config.shard_count;
   sharded.selection = config.shard_selection;
-  sharded.selection_name = config.policies.shard_selection.name;
   sharded.routing_seed = config.shard_routing_seed;
   sharded.worker_threads = config.worker_threads != 0
                                ? config.worker_threads
@@ -204,7 +154,7 @@ TraceDrivenSimulator::TraceDrivenSimulator(SimConfig config)
 void TraceDrivenSimulator::init(trace::VmArrivalStream& stream) {
   stream_ = &stream;
   horizon_ = stream.horizon();
-  apply_policy_set(config_);
+  check_policy_names(config_);
   plan_ = make_plan(horizon_, config_);
   manager_ = make_manager(config_, plan_);
   if (timed_migration()) {
@@ -246,10 +196,10 @@ void TraceDrivenSimulator::init(trace::VmArrivalStream& stream) {
                                 config_.control.regime_shift, horizon_);
   }
 
-  // Admission stage: AdmitAll quotes prices but defers nothing; the
+  // Admission stage: admit-all quotes prices but defers nothing; the
   // price-aware policies quote off the plan's market traces (pointers into
-  // plan_, which outlives the controller). BidOptimized pulls its ceilings
-  // from the plan's per-class bid optima when the engine computed them.
+  // plan_, which outlives the controller). bid-opt pulls its ceilings from
+  // the plan's per-class bid optima when the engine computed them.
   {
     cluster::AdmissionConfig admission = config_.admission;
     std::vector<const transient::PriceTrace*> traces;
@@ -258,7 +208,9 @@ void TraceDrivenSimulator::init(trace::VmArrivalStream& stream) {
       for (const transient::MarketPlan& market : plan_->markets) {
         traces.push_back(&market.prices);
       }
-      if (admission.policy == cluster::AdmissionPolicyKind::BidOptimized &&
+      const auto& policy =
+          cluster::AdmissionRegistry::instance().resolve(admission.policy);
+      if (policy.name == cluster::AdmissionPolicyKind::BidOptimized &&
           !plan_->class_ceilings.empty()) {
         admission.class_ceilings = plan_->class_ceilings;
       }
@@ -266,16 +218,8 @@ void TraceDrivenSimulator::init(trace::VmArrivalStream& stream) {
     const double on_demand_rate =
         config_.market.effective_markets().front().price.on_demand_price;
     cluster::PriceFeed feed(std::move(traces), on_demand_rate);
-    // A registry name routes through the admission registry (the only way
-    // a link-time plugin policy can be selected); empty keeps the enum
-    // dispatch, bit-identical to before the policy layer existed.
-    admission_ =
-        config_.policies.admission.empty()
-            ? cluster::make_admission_controller(std::move(admission),
-                                                 *manager_, std::move(feed))
-            : cluster::make_admission_controller_by_name(
-                  config_.policies.admission.name, admission, *manager_,
-                  std::move(feed));
+    admission_ = cluster::make_admission_controller(std::move(admission),
+                                                    *manager_, std::move(feed));
   }
 
   // Online control plane: wakes every `control.reopt_hours` of simulated

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "cluster/sharded_manager.hpp"
 #include "cluster/wire.hpp"
 #include "control/controller.hpp"
-#include "policy/policy_set.hpp"
 #include "trace/replay.hpp"
 #include "trace/vm_record.hpp"
 #include "transient/market.hpp"
@@ -42,7 +42,9 @@ struct SimConfig {
   core::PolicyKind policy = core::PolicyKind::Proportional;
   cluster::ReclamationMode mode = cluster::ReclamationMode::Deflation;
   mech::MechanismKind mechanism = mech::MechanismKind::Hybrid;
-  cluster::PlacementStrategy placement = cluster::PlacementStrategy::Fitness;
+  /// Placement registry name (fitness, first-fit, best-fit, worst-fit or
+  /// a plugin).
+  std::string placement = "fitness";
   bool reinflate_on_departure = true;
   bool partitioned = false;
   std::size_t server_count = 40;
@@ -52,8 +54,9 @@ struct SimConfig {
   /// Number of placement shards; 1 = the flat ClusterManager (the sharded
   /// scheduler's degenerate case, bit-identical decisions).
   std::size_t shard_count = 1;
-  cluster::ShardSelectionPolicy shard_selection =
-      cluster::ShardSelectionPolicy::PowerOfTwoChoices;
+  /// Shard-selection registry name (p2c, least-loaded, round-robin or a
+  /// plugin); resolved even on a flat fleet, which never routes.
+  std::string shard_selection = "p2c";
   std::uint64_t shard_routing_seed = 42;
   /// Worker threads for the manager's placement scans and tick-barrier
   /// view drains. 0 = take DEFLATE_THREADS from the environment (unset =
@@ -62,7 +65,7 @@ struct SimConfig {
 
   // --- transient market (src/transient) ---
   /// Enables the spot-price / revocation / portfolio layer. With
-  /// `market.revocation.model == None` and `market.use_portfolio == false`
+  /// `market.revocation.model == "none"` and `market.use_portfolio == false`
   /// the simulation is identical to the non-market one. Multi-market
   /// fleets configure `market.markets` (one MarketDef per zone/instance
   /// type) plus `market.correlation`; the plan then spreads the transient
@@ -73,15 +76,15 @@ struct SimConfig {
 
   // --- admission (src/cluster/admission) ---
   /// Admission API v2: every arrival flows through an AdmissionController
-  /// before placement. The default AdmitAll policy is bit-identical to
-  /// pre-admission behavior; PriceThreshold/BidOptimized defer deflatable
+  /// before placement. The default `admit-all` policy is bit-identical to
+  /// pre-admission behavior; `price`/`bid-opt` defer deflatable
   /// launches while the spot quote exceeds the per-class ceiling, with
   /// deferred arrivals re-entering the event loop as retry events and
   /// expired deferrals counted as rejections (their unserved demand billed
-  /// into the cost report at the on-demand rate). The BidOptimized policy
+  /// into the cost report at the on-demand rate). The `bid-opt` policy
   /// takes its ceilings from `market.optimize_bids`' per-class optima
   /// (`CapacityPlan::class_ceilings`); without a market plan the
-  /// price-aware policies degrade to AdmitAll.
+  /// price-aware policies degrade to admit-all.
   cluster::AdmissionConfig admission;
 
   // --- wire telemetry (src/cluster/wire) ---
@@ -103,16 +106,6 @@ struct SimConfig {
   /// `worker_threads` (tests/test_trace_replay.cpp). Ignored by the
   /// record-vector constructor.
   std::optional<trace::ReplayConfig> replay;
-
-  // --- declarative policy selection (src/policy) ---
-  /// Registry names (+ per-policy parameter overrides) for the five
-  /// pluggable surfaces. Empty choices leave the legacy enum/flag fields
-  /// above in charge, so default-constructed configs are bit-identical to
-  /// earlier releases. Non-empty choices are validated against the
-  /// registries at construction (std::invalid_argument lists the valid
-  /// names) and then take precedence over the matching enum — which is
-  /// how link-time plugin policies, having no enum value, are selected.
-  policy::PolicySet policies;
 
   // --- online control plane (src/control) ---
   /// Rolling re-optimization: with `control.enabled`, a FleetController

@@ -79,9 +79,10 @@ class BidOptimizer {
 
   /// The objective above (with the fallback term scaled by
   /// `fallback_discount`), evaluated exactly on the trace. `revocation`
-  /// supplies the revocation semantics: PriceCrossing derives r(b) from
-  /// the trace's bid-crossings; every other model contributes its
-  /// bid-independent expected rate.
+  /// supplies the revocation semantics, its model resolved through the
+  /// registry: the price model derives r(b) from the trace's
+  /// bid-crossings; every other model contributes its bid-independent
+  /// expected rate.
   [[nodiscard]] double expected_cost(const PriceTrace& trace, double bid,
                                      double penalty_hours,
                                      const RevocationConfig& revocation) const;
@@ -108,12 +109,7 @@ class BidOptimizer {
   }
 
  private:
-  /// Revocations per hour at `bid` under `revocation`: bid-crossings for
-  /// PriceCrossing, the model's bid-independent rate otherwise.
-  [[nodiscard]] static double revocation_rate(
-      const PriceTrace& trace, double bid, const RevocationConfig& revocation);
-  /// The objective with the revocation rate already known (lets
-  /// optimize() hoist the bid-independent rate out of its sweep).
+  /// The objective with the revocation rate already known.
   [[nodiscard]] double cost_at_rate(const PriceTrace& trace, double bid,
                                     double penalty_hours, double rate) const;
 

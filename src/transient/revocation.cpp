@@ -6,16 +6,6 @@
 
 namespace deflate::transient {
 
-const char* revocation_model_name(RevocationModel m) noexcept {
-  switch (m) {
-    case RevocationModel::None: return "none";
-    case RevocationModel::Poisson: return "poisson";
-    case RevocationModel::TemporallyConstrained: return "temporal";
-    case RevocationModel::PriceCrossing: return "price-crossing";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Samples one temporally-constrained lifetime (hours) by inverting the
@@ -198,14 +188,15 @@ std::shared_ptr<const RevocationModelPolicy> borrow(
 
 void RevocationSurface::register_builtins(
     policy::PolicyRegistry<RevocationSurface>& registry) {
-  registry.add("none", "servers are never revoked",
+  registry.add(RevocationModel::None, "servers are never revoked",
                [] { return borrow(kNoneModel); });
   registry.add(
-      "poisson", "memoryless per-server revocations with configurable MTBR",
+      RevocationModel::Poisson,
+      "memoryless per-server revocations with configurable MTBR",
       [] { return borrow(kPoissonModel); }, {},
       {{"poisson_rate_per_hour", "revocations per server-hour", 1.0 / 24.0}});
   registry.add(
-      "temporal",
+      RevocationModel::TemporallyConstrained,
       "bathtub lifetimes under a hard cap (Kadupitiya et al., "
       "arXiv:1911.05160)",
       [] { return borrow(kTemporalModel); }, {},
@@ -214,39 +205,21 @@ void RevocationSurface::register_builtins(
        {"early_tau_hours", "early component time constant", 2.0},
        {"late_shape", "late component polynomial exponent", 8.0}});
   registry.add(
-      "price", "market-wide revocation while spot price exceeds the bid",
+      RevocationModel::PriceCrossing,
+      "market-wide revocation while spot price exceeds the bid",
       [] { return borrow(kPriceCrossingModel); }, {"price-crossing"},
       {{"bid", "bid per core-hour", 0.5}});
 }
 
 std::shared_ptr<const RevocationModelPolicy> make_revocation_model(
     const std::string& name) {
-  const auto* entry = RevocationRegistry::instance().find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument(
-        "unknown revocation model '" + name + "' (expected " +
-        policy::joined_policy_names<RevocationSurface>() + ")");
-  }
-  return entry->make();
-}
-
-std::optional<RevocationModel> revocation_model_from_name(
-    const std::string& name) noexcept {
-  if (name == "none") return RevocationModel::None;
-  if (name == "poisson") return RevocationModel::Poisson;
-  if (name == "temporal") return RevocationModel::TemporallyConstrained;
-  if (name == "price" || name == "price-crossing") {
-    return RevocationModel::PriceCrossing;
-  }
-  return std::nullopt;
+  return RevocationRegistry::instance().resolve(name).make();
 }
 
 RevocationEngine::RevocationEngine(RevocationConfig config, std::uint64_t seed)
     : config_(std::move(config)),
       seed_(seed),
-      model_(make_revocation_model(config_.model_name.empty()
-                                       ? revocation_model_name(config_.model)
-                                       : config_.model_name)) {}
+      model_(make_revocation_model(config_.model)) {}
 
 std::vector<RevocationEvent> RevocationEngine::schedule_for(
     std::size_t server, sim::SimTime horizon) const {

@@ -38,18 +38,23 @@
 
 namespace deflate::transient {
 
-/// Thin alias over the revocation policy registry (every value maps to a
-/// registered builtin model).
-enum class RevocationModel { None, Poisson, TemporallyConstrained, PriceCrossing };
-
-[[nodiscard]] const char* revocation_model_name(RevocationModel m) noexcept;
+/// The builtin revocation models' primary registry names (the registry
+/// registers them under these constants). Only a scope of name constants:
+/// it keeps code written against the retired enum of the same name
+/// compiling, since `config.model = RevocationModel::Poisson` now assigns
+/// the name.
+namespace RevocationModel {
+inline constexpr const char* None = "none";
+inline constexpr const char* Poisson = "poisson";
+inline constexpr const char* TemporallyConstrained = "temporal";
+inline constexpr const char* PriceCrossing = "price";
+}  // namespace RevocationModel
 
 struct RevocationConfig {
-  RevocationModel model = RevocationModel::None;
-  /// Registry name of the model (PolicySet path). Empty = resolve the
-  /// builtin aliased by `model`. Unknown names throw std::invalid_argument
-  /// when the engine is built.
-  std::string model_name;
+  /// Revocation registry name (none, poisson, temporal, price, an alias or
+  /// a plugin). Unknown names throw std::invalid_argument when the engine
+  /// is built.
+  std::string model = RevocationModel::None;
 
   // --- Poisson ---
   /// Mean time between revocations is 1/rate (default: one per 24 h).
@@ -101,10 +106,10 @@ struct RevocationEvent {
   return a.server < b.server;
 }
 
-/// Strategy object behind RevocationModel: generates one server's
-/// revoke/restore schedule as a pure function of (config, seed, server).
-/// Models are stateless and shared; per-call randomness is derived inside
-/// schedule_for from the (seed, server)-keyed stream.
+/// A revocation model (the registry's "revocation" surface): generates one
+/// server's revoke/restore schedule as a pure function of (config, seed,
+/// server). Models are stateless and shared; per-call randomness is
+/// derived inside schedule_for from the (seed, server)-keyed stream.
 class RevocationModelPolicy {
  public:
   virtual ~RevocationModelPolicy() = default;
@@ -157,15 +162,9 @@ using RevocationRegistry = policy::PolicyRegistry<RevocationSurface>;
 [[nodiscard]] std::shared_ptr<const RevocationModelPolicy>
 make_revocation_model(const std::string& name);
 
-/// Reverse mapping for the legacy-enum config surfaces (nullopt for
-/// plugin-registered names that have no enum alias).
-[[nodiscard]] std::optional<RevocationModel> revocation_model_from_name(
-    const std::string& name) noexcept;
-
 class RevocationEngine {
  public:
-  /// Resolves the model through the registry (`config.model_name`, falling
-  /// back to the builtin aliased by `config.model`); throws
+  /// Resolves `config.model` through the registry; throws
   /// std::invalid_argument on unknown names.
   explicit RevocationEngine(RevocationConfig config, std::uint64_t seed = 42);
 

@@ -433,6 +433,65 @@ TEST(BidOptimizer, NeverBidsAboveTheOnDemandPrice) {
   EXPECT_LE(bid.bid, 1.0);
 }
 
+TEST(BidOptimizer, ResolvesTheRevocationModelLikeTheEngine) {
+  // A bid-independent model selected by name: the optimizer must price
+  // the rate the revocation engine actually revokes at.
+  const tr::PriceTrace trace =
+      tr::SpotPriceModel(tr::SpotPriceConfig{}, 7)
+          .generate(sim::SimTime::from_hours(72));
+  tr::RevocationConfig poisson;
+  poisson.model = "poisson";
+  poisson.poisson_rate_per_hour = 0.5;
+  tr::BidOptimizerConfig config;
+  config.class_penalty_hours = {0.0, 0.1};
+  const tr::BidOptimizer optimizer(config);
+
+  tr::RevocationEngine engine(poisson);
+  engine.set_price_trace(&trace);
+  const tr::ClassBid bid = optimizer.optimize(trace, 1, poisson);
+  EXPECT_EQ(bid.revocation_rate_per_hour, engine.expected_rate_per_hour());
+  EXPECT_EQ(bid.revocation_rate_per_hour, 0.5);
+  EXPECT_EQ(bid.expected_cost,
+            optimizer.expected_cost(trace, bid.bid, 0.1, poisson));
+
+  // The penalty term is charged: never-revoked capacity prices lower.
+  tr::RevocationConfig none = poisson;
+  none.model = "none";
+  const tr::ClassBid free_bid = optimizer.optimize(trace, 1, none);
+  EXPECT_EQ(free_bid.revocation_rate_per_hour, 0.0);
+  EXPECT_LT(free_bid.expected_cost, bid.expected_cost);
+}
+
+TEST(BidOptimizer, PriceModelAndItsAliasTakeTheBidCrossingPath) {
+  const tr::PriceTrace trace = two_point_trace(0.2, 0.8, 9, 1, 100);
+  tr::BidOptimizerConfig config;
+  config.fallback_discount = 0.5;
+  config.class_penalty_hours = {0.0, 0.01, 0.1, 0.5, 2.0};
+  const tr::BidOptimizer optimizer(config);
+
+  tr::RevocationConfig price;
+  price.model = "price";
+  tr::RevocationConfig alias = price;
+  alias.model = "price-crossing";
+  const auto bids = optimizer.optimize_classes(trace, price);
+  const auto alias_bids = optimizer.optimize_classes(trace, alias);
+  ASSERT_EQ(bids.size(), alias_bids.size());
+  for (std::size_t c = 0; c < bids.size(); ++c) {
+    EXPECT_EQ(bids[c].bid, alias_bids[c].bid) << "class " << c;
+    EXPECT_EQ(bids[c].expected_cost, alias_bids[c].expected_cost)
+        << "class " << c;
+    EXPECT_EQ(bids[c].availability, alias_bids[c].availability)
+        << "class " << c;
+    EXPECT_EQ(bids[c].revocation_rate_per_hour,
+              alias_bids[c].revocation_rate_per_hour)
+        << "class " << c;
+  }
+  // Class 1's tiny penalty bids low, under the spikes: one upward
+  // crossing per 50-minute cycle, as in the closed form above.
+  EXPECT_DOUBLE_EQ(bids[1].bid, 0.2);
+  EXPECT_NEAR(bids[1].revocation_rate_per_hour, 1.2, 1e-9);
+}
+
 TEST(BidOptimizer, PlanReplacesStaticBidsAndPublishesCeilings) {
   tr::MarketEngineConfig config;
   config.seed = 7;

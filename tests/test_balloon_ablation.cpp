@@ -2,6 +2,10 @@
 // (mechanism choice, placement strategy, reinflation toggle).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cluster/cluster_manager.hpp"
 #include "core/perf_model.hpp"
 #include "mechanisms/mechanism.hpp"
@@ -114,14 +118,11 @@ TEST(MechanismFactory, CreatesAllKinds) {
 }
 
 TEST(PlacementStrategies, NamesDistinct) {
-  EXPECT_STREQ(cl::placement_strategy_name(cl::PlacementStrategy::Fitness),
-               "fitness");
-  EXPECT_STREQ(cl::placement_strategy_name(cl::PlacementStrategy::FirstFit),
-               "first-fit");
-  EXPECT_STREQ(cl::placement_strategy_name(cl::PlacementStrategy::BestFit),
-               "best-fit");
-  EXPECT_STREQ(cl::placement_strategy_name(cl::PlacementStrategy::WorstFit),
-               "worst-fit");
+  const std::vector<std::string> names =
+      cl::PlacementRegistry::instance().names();
+  for (const char* name : {"fitness", "first-fit", "best-fit", "worst-fit"}) {
+    EXPECT_EQ(std::count(names.begin(), names.end(), name), 1) << name;
+  }
 }
 
 TEST(PlacementStrategies, FirstFitTakesLowestId) {
@@ -132,7 +133,7 @@ TEST(PlacementStrategies, FirstFitTakesLowestId) {
     hosts[i].available = {20.0, 40000.0, 0.0, 0.0};
     hosts[i].feasible = i != 0;  // host 0 infeasible
   }
-  const auto best = cl::pick_host(cl::PlacementStrategy::FirstFit,
+  const auto best = cl::pick_host(*cl::make_placement_scorer("first-fit"),
                                   {8.0, 16384.0, 0.0, 0.0}, hosts);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(hosts[*best].host_id, 1U);
@@ -148,9 +149,10 @@ TEST(PlacementStrategies, BestFitPicksTightestServer) {
   hosts[0].available = {40.0, 100000.0, 0.0, 0.0};  // roomy
   hosts[1].available = {9.0, 17000.0, 0.0, 0.0};    // tight
   const res::ResourceVector demand(8.0, 16384.0, 0.0, 0.0);
-  const auto best_fit = cl::pick_host(cl::PlacementStrategy::BestFit, demand, hosts);
+  const auto best_fit =
+      cl::pick_host(*cl::make_placement_scorer("best-fit"), demand, hosts);
   const auto worst_fit =
-      cl::pick_host(cl::PlacementStrategy::WorstFit, demand, hosts);
+      cl::pick_host(*cl::make_placement_scorer("worst-fit"), demand, hosts);
   ASSERT_TRUE(best_fit.has_value());
   ASSERT_TRUE(worst_fit.has_value());
   EXPECT_EQ(hosts[*best_fit].host_id, 1U);

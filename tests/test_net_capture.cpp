@@ -8,9 +8,11 @@
 #include <fstream>
 #include <thread>
 
+#include "cluster/sharded_manager.hpp"
 #include "net/capture.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "policy/registry.hpp"
 
 namespace net = deflate::net;
 namespace cluster = deflate::cluster;
@@ -18,6 +20,26 @@ namespace hv = deflate::hv;
 namespace sim = deflate::sim;
 
 namespace {
+
+/// Link-time plugin selector: a name no builtin has, carried by the header.
+class LastShardSelector final : public cluster::ShardSelector {
+ public:
+  void route(const cluster::ShardScores& scores, deflate::util::Rng&,
+             std::vector<std::size_t>& picks) override {
+    if (scores.count() > 0) push_if_fits(scores, scores.count() - 1, picks);
+  }
+};
+
+cluster::ShardSelectionRegistry::Entry last_shard_entry() {
+  cluster::ShardSelectionRegistry::Entry entry;
+  entry.name = "capture-last-shard";
+  entry.description = "test plugin: prefer the last shard";
+  entry.make = [] { return std::make_unique<LastShardSelector>(); };
+  return entry;
+}
+
+const deflate::policy::PolicyRegistration<cluster::ShardSelectionSurface>
+    kRegisterLastShard{last_shard_entry()};
 
 /// Temp capture path in the ctest working directory, removed on scope
 /// exit.
@@ -68,7 +90,8 @@ TEST(NetCapture, HeaderRoundTripsConfigExactly) {
   net::ServiceConfig config;
   config.server_count = 123;
   config.shard_count = 7;
-  config.shard_policy = cluster::ShardSelectionPolicy::LeastLoaded;
+  config.shard_policy = "least-loaded";
+  config.placement_policy = "worst-fit";
   config.routing_seed = 987654321;
   config.admission_policy = "bid-opt";
   config.admission.class_ceilings = {1.0, 0.1 + 0.2, 0.333333333333333,
@@ -87,6 +110,7 @@ TEST(NetCapture, HeaderRoundTripsConfigExactly) {
   EXPECT_EQ(decoded->server_count, config.server_count);
   EXPECT_EQ(decoded->shard_count, config.shard_count);
   EXPECT_EQ(decoded->shard_policy, config.shard_policy);
+  EXPECT_EQ(decoded->placement_policy, config.placement_policy);
   EXPECT_EQ(decoded->routing_seed, config.routing_seed);
   EXPECT_EQ(decoded->admission_policy, config.admission_policy);
   ASSERT_EQ(decoded->admission.class_ceilings.size(),
@@ -105,6 +129,64 @@ TEST(NetCapture, HeaderRoundTripsConfigExactly) {
   EXPECT_EQ(decoded->price_seed, config.price_seed);
   EXPECT_EQ(decoded->spot.mean_price, config.spot.mean_price);
   EXPECT_EQ(decoded->spot.volatility, config.spot.volatility);
+}
+
+TEST(NetCapture, EarlierHeaderLayoutDecodesToTheSameConfig) {
+  // Written by the earlier encoder: a shard-policy token plus a separate,
+  // empty plugin-name key, and an empty `placement` for the default.
+  const std::string earlier =
+      "admission=bid-opt&ceilings=0x1p+0,0x1.3333333333334p-2,0x1p-2&codec=3&"
+      "default_ceiling=0x1.f9add3746f62ep-4&defer_hours=0x1.dp+2&"
+      "od_price=0x1.8p+0&placement=&price_hours=0x1.92p+6&price_seed=424242&"
+      "routing_seed=987654321&servers=123&shard_policy=least-loaded&"
+      "shard_policy_name=&shards=7&spot_floor=0x1.999999999999ap-5&"
+      "spot_mean=0x1.199999999999ap-2&spot_reversion=0x1.3333333333333p-1&"
+      "spot_shock_decay=0x1.8p+0&spot_shock_mult=0x1p+2&"
+      "spot_shock_rate=0x1.5555555555555p-5&spot_step_us=300000000&"
+      "spot_volatility=0x1.47ae147ae147bp-5&type=capture_header&v=2";
+  net::ServiceConfig expected;
+  expected.server_count = 123;
+  expected.shard_count = 7;
+  expected.shard_policy = "least-loaded";
+  expected.routing_seed = 987654321;
+  expected.admission_policy = "bid-opt";
+  expected.admission.class_ceilings = {1.0, 0.1 + 0.2, 0.25};
+  expected.admission.default_ceiling = 0.123456789012345;
+  expected.admission.max_defer_hours = 7.25;
+  expected.on_demand_price = 1.5;
+  expected.price_trace_hours = 100.5;
+  expected.price_seed = 424242;
+  expected.spot.mean_price = 0.275;
+
+  const auto decoded = net::decode_capture_header(earlier);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->shard_policy, "least-loaded");
+  EXPECT_EQ(decoded->placement_policy, "fitness");
+  // Every header field, compared through the current encoder.
+  EXPECT_EQ(net::encode_capture_header(*decoded),
+            net::encode_capture_header(expected));
+}
+
+TEST(NetCapture, PluginShardPolicyNameRoundTrips) {
+  net::ServiceConfig config;
+  config.server_count = 8;
+  config.shard_count = 2;
+  config.shard_policy = "capture-last-shard";
+  const std::string header = net::encode_capture_header(config);
+  // One key carries the name.
+  EXPECT_NE(header.find("&shard_policy=capture-last-shard&"),
+            std::string::npos)
+      << header;
+  EXPECT_EQ(header.find("shard_policy"), header.rfind("shard_policy"))
+      << header;
+
+  const auto decoded = net::decode_capture_header(header);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->shard_policy, "capture-last-shard");
+  EXPECT_EQ(net::encode_capture_header(*decoded), header);
+  // The replayer resolves it to the registered plugin.
+  const net::ServiceCore core(*decoded);
+  EXPECT_EQ(core.config().shard_policy, "capture-last-shard");
 }
 
 TEST(NetCapture, HeaderRejectsGarbageAndForeignVersions) {

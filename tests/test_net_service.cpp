@@ -1,14 +1,13 @@
 // The admission service end to end over loopback TCP: handshake,
 // batching, pipelining, per-connection deferral streams, the plugin
 // policy registry, and protocol-violation handling (src/net/server.hpp,
-// src/net/client.hpp, src/net/registry.hpp).
+// src/net/client.hpp, src/cluster/admission.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <thread>
 
 #include "net/client.hpp"
-#include "net/registry.hpp"
 #include "net/server.hpp"
 
 namespace net = deflate::net;
@@ -194,7 +193,7 @@ class RejectAllController final : public cluster::AdmissionController {
 };
 
 void ensure_reject_all_registered() {
-  net::AdmissionPolicyEntry entry;
+  cluster::AdmissionRegistry::Entry entry;
   entry.name = "reject-all";
   entry.description = "test plugin: reject every request";
   entry.make = [](const cluster::AdmissionConfig& config,
@@ -204,14 +203,14 @@ void ensure_reject_all_registered() {
                                                  std::move(feed));
   };
   // May already be registered by an earlier test in this process.
-  (void)net::AdmissionPolicyRegistry::instance().add(std::move(entry));
+  (void)cluster::AdmissionRegistry::instance().add(std::move(entry));
 }
 
 }  // namespace
 
 TEST(NetService, PluginPolicyServedByName) {
   ensure_reject_all_registered();
-  ASSERT_NE(net::AdmissionPolicyRegistry::instance().find("reject-all"),
+  ASSERT_NE(cluster::AdmissionRegistry::instance().find("reject-all"),
             nullptr);
 
   net::ServiceConfig config;
@@ -239,7 +238,7 @@ TEST(NetService, UnknownPolicyNameThrows) {
 
 TEST(NetService, DuplicateRegistrationRefused) {
   ensure_reject_all_registered();
-  net::AdmissionPolicyEntry duplicate;
+  cluster::AdmissionRegistry::Entry duplicate;
   duplicate.name = "reject-all";
   duplicate.description = "imposter";
   duplicate.make = [](const cluster::AdmissionConfig&,
@@ -247,7 +246,7 @@ TEST(NetService, DuplicateRegistrationRefused) {
     return std::unique_ptr<cluster::AdmissionController>{};
   };
   EXPECT_FALSE(
-      net::AdmissionPolicyRegistry::instance().add(std::move(duplicate)));
+      cluster::AdmissionRegistry::instance().add(std::move(duplicate)));
 }
 
 TEST(NetService, MalformedFrameAnswersErrorThenCloses) {

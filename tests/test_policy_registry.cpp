@@ -1,23 +1,28 @@
 // The generic policy layer (src/policy): registration/enumeration rules,
 // alias lookup, link-time plugin registration driving a sharded fleet and
-// a full simulation end-to-end, per-surface legacy-enum vs registry-name
-// bit-parity, PolicySet validation, and concurrent registry access (the
-// last is in CI's TSan matrix).
+// a full simulation end-to-end, every surface's config field (unknown
+// names rejected at construction, aliases bit-identical to their primary
+// name), and concurrent registry access (the last is in CI's TSan
+// matrix).
 #include "policy/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "cluster/admission.hpp"
 #include "cluster/cluster_manager.hpp"
 #include "cluster/migration.hpp"
 #include "cluster/placement.hpp"
 #include "cluster/sharded_manager.hpp"
+#include "net/service.hpp"
 #include "policy/catalog.hpp"
-#include "policy/policy_set.hpp"
 #include "simcluster/cluster_sim.hpp"
 #include "trace/azure.hpp"
 #include "transient/revocation.hpp"
@@ -26,6 +31,7 @@
 
 namespace cl = deflate::cluster;
 namespace hv = deflate::hv;
+namespace net = deflate::net;
 namespace policy = deflate::policy;
 namespace sc = deflate::simcluster;
 namespace sim = deflate::sim;
@@ -45,15 +51,6 @@ hv::VmSpec make_spec(std::uint64_t id, int vcpus, double mem_mib,
   spec.deflatable = deflatable;
   spec.priority = priority;
   return spec;
-}
-
-hv::VmSpec random_spec(util::Rng& rng, std::uint64_t id) {
-  static const int kCores[] = {2, 4, 8};
-  const int vcpus = kCores[rng.uniform_int(0, 2)];
-  const bool deflatable = rng.bernoulli(0.5);
-  const double priority =
-      deflatable ? 0.2 * static_cast<double>(rng.uniform_int(1, 4)) : 1.0;
-  return make_spec(id, vcpus, vcpus * 2048.0, deflatable, priority);
 }
 
 std::vector<tr::VmRecord> small_trace(std::size_t n = 300,
@@ -165,8 +162,6 @@ TEST(PolicyRegistry, PluginSelectorRegisteredBeforeMain) {
       cl::ShardSelectionRegistry::instance().find("first-shard");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->description, "test plugin: always prefer shard 0");
-  // The plugin has no legacy enum value — only the name selects it.
-  EXPECT_FALSE(cl::shard_selection_from_name("first-shard").has_value());
 }
 
 TEST(PolicyRegistry, PluginSelectorDrivesShardedManager) {
@@ -174,7 +169,7 @@ TEST(PolicyRegistry, PluginSelectorDrivesShardedManager) {
   config.cluster.server_count = 16;
   config.cluster.server_capacity = {16.0, 32768.0, 1e9, 1e9};
   config.shard_count = 4;
-  config.selection_name = "first-shard";
+  config.selection = "first-shard";
   cl::ShardedClusterManager manager(config);
 
   // Shard 0 owns global servers 0..3 (64 cores): the plugin must steer
@@ -200,7 +195,7 @@ TEST(PolicyRegistry, PluginSelectorDrivesShardedSimulationEndToEnd) {
   config.server_count = sc::TraceDrivenSimulator::servers_for_overcommit(
       records, config.server_capacity, 0.0);
   config.shard_count = 4;
-  config.policies.shard_selection.name = "first-shard";
+  config.shard_selection = "first-shard";
 
   sc::TraceDrivenSimulator simulator(records, config);
   const sc::SimMetrics metrics = simulator.run();
@@ -219,10 +214,10 @@ TEST(PolicyRegistry, UnknownNamesThrowListingValidChoices) {
   cl::ShardedClusterConfig config;
   config.cluster.server_count = 4;
   config.shard_count = 2;
-  config.selection_name = "no-such-policy";
+  config.selection = "no-such-policy";
   try {
     cl::ShardedClusterManager manager(config);
-    FAIL() << "unknown selection_name must throw";
+    FAIL() << "an unknown selection name must throw";
   } catch (const std::invalid_argument& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("no-such-policy"), std::string::npos);
@@ -237,125 +232,31 @@ TEST(PolicyRegistry, UnknownNamesThrowListingValidChoices) {
   EXPECT_THROW(cl::make_shard_selector("bogus"), std::invalid_argument);
 }
 
-// --- per-surface legacy-enum vs registry-name bit-parity --------------------
-
-TEST(PolicyRegistry, PlacementNamesMatchEnumsBitExact) {
-  const struct {
-    cl::PlacementStrategy strategy;
-    const char* name;
-  } cases[] = {{cl::PlacementStrategy::Fitness, "fitness"},
-               {cl::PlacementStrategy::FirstFit, "first-fit"},
-               {cl::PlacementStrategy::BestFit, "best-fit"},
-               {cl::PlacementStrategy::WorstFit, "worst-fit"}};
-  for (const auto& test_case : cases) {
-    cl::ClusterConfig enum_config;
-    enum_config.server_count = 12;
-    enum_config.server_capacity = {16.0, 32768.0, 1e9, 1e9};
-    enum_config.placement = test_case.strategy;
-    cl::ClusterConfig named_config = enum_config;
-    named_config.placement = cl::PlacementStrategy::Fitness;  // ignored
-    named_config.placement_name = test_case.name;
-
-    cl::ClusterManager by_enum(enum_config);
-    cl::ClusterManager by_name(named_config);
-    util::Rng rng(23);
-    for (std::uint64_t id = 1; id <= 120; ++id) {
-      const hv::VmSpec spec = random_spec(rng, id);
-      const cl::PlacementResult a = by_enum.place_vm(spec);
-      const cl::PlacementResult b = by_name.place_vm(spec);
-      EXPECT_EQ(a.status, b.status) << test_case.name << " vm " << id;
-      EXPECT_EQ(a.host_id, b.host_id) << test_case.name << " vm " << id;
-      EXPECT_EQ(a.launch_fraction, b.launch_fraction)
-          << test_case.name << " vm " << id;
-    }
-    EXPECT_EQ(by_enum.stats().placements, by_name.stats().placements)
-        << test_case.name;
-    EXPECT_EQ(by_enum.stats().rejections, by_name.stats().rejections)
-        << test_case.name;
-    EXPECT_EQ(by_enum.stats().deflated_launches,
-              by_name.stats().deflated_launches)
-        << test_case.name;
-  }
+TEST(PolicyRegistry, RetiredEnumScopesHoldPrimaryNames) {
+  const auto primary = [](const auto& registry, const char* name) {
+    const auto* entry = registry.find(name);
+    return entry != nullptr && entry->name == name;
+  };
+  const auto& revocation = transient::RevocationRegistry::instance();
+  EXPECT_TRUE(primary(revocation, transient::RevocationModel::None));
+  EXPECT_TRUE(primary(revocation, transient::RevocationModel::Poisson));
+  EXPECT_TRUE(
+      primary(revocation, transient::RevocationModel::TemporallyConstrained));
+  EXPECT_TRUE(primary(revocation, transient::RevocationModel::PriceCrossing));
+  const auto& admission = cl::AdmissionRegistry::instance();
+  EXPECT_TRUE(primary(admission, cl::AdmissionPolicyKind::AdmitAll));
+  EXPECT_TRUE(primary(admission, cl::AdmissionPolicyKind::PriceThreshold));
+  EXPECT_TRUE(primary(admission, cl::AdmissionPolicyKind::BidOptimized));
 }
 
-TEST(PolicyRegistry, ShardSelectionNamesMatchEnumsBitExact) {
-  const struct {
-    cl::ShardSelectionPolicy policy;
-    const char* name;
-  } cases[] = {{cl::ShardSelectionPolicy::PowerOfTwoChoices, "p2c"},
-               {cl::ShardSelectionPolicy::LeastLoaded, "least-loaded"},
-               {cl::ShardSelectionPolicy::RoundRobin, "round-robin"}};
-  for (const auto& test_case : cases) {
-    cl::ShardedClusterConfig enum_config;
-    enum_config.cluster.server_count = 24;
-    enum_config.cluster.server_capacity = {16.0, 32768.0, 1e9, 1e9};
-    enum_config.shard_count = 4;
-    enum_config.selection = test_case.policy;
-    cl::ShardedClusterConfig named_config = enum_config;
-    named_config.selection = cl::ShardSelectionPolicy::PowerOfTwoChoices;
-    named_config.selection_name = test_case.name;
-
-    cl::ShardedClusterManager by_enum(enum_config);
-    cl::ShardedClusterManager by_name(named_config);
-    util::Rng rng(19);
-    for (std::uint64_t id = 1; id <= 150; ++id) {
-      const hv::VmSpec spec = random_spec(rng, id);
-      const cl::PlacementResult a = by_enum.place_vm(spec);
-      const cl::PlacementResult b = by_name.place_vm(spec);
-      EXPECT_EQ(a.status, b.status) << test_case.name << " vm " << id;
-      EXPECT_EQ(a.host_id, b.host_id) << test_case.name << " vm " << id;
-      EXPECT_EQ(a.launch_fraction, b.launch_fraction)
-          << test_case.name << " vm " << id;
-    }
-    EXPECT_EQ(by_enum.stats().placements, by_name.stats().placements);
-    EXPECT_EQ(by_enum.stats().rejections, by_name.stats().rejections);
-  }
-}
-
-TEST(PolicyRegistry, RevocationNamesMatchEnumsBitExact) {
-  transient::SpotPriceConfig spot_config;
-  const transient::PriceTrace prices =
-      transient::SpotPriceModel(spot_config, 7).generate(
-          sim::SimTime::from_hours(72));
-
-  const struct {
-    transient::RevocationModel model;
-    const char* name;
-  } cases[] = {{transient::RevocationModel::None, "none"},
-               {transient::RevocationModel::Poisson, "poisson"},
-               {transient::RevocationModel::TemporallyConstrained, "temporal"},
-               {transient::RevocationModel::PriceCrossing, "price"}};
-  for (const auto& test_case : cases) {
-    transient::RevocationConfig enum_config;
-    enum_config.model = test_case.model;
-    transient::RevocationConfig named_config = enum_config;
-    named_config.model = transient::RevocationModel::None;  // ignored
-    named_config.model_name = test_case.name;
-
-    transient::RevocationEngine by_enum(enum_config, 42);
-    transient::RevocationEngine by_name(named_config, 42);
-    by_enum.set_price_trace(&prices);
-    by_name.set_price_trace(&prices);
-    const sim::SimTime horizon = sim::SimTime::from_hours(72);
-    for (const std::size_t server : {std::size_t{0}, std::size_t{3},
-                                     std::size_t{17}}) {
-      EXPECT_EQ(by_enum.schedule_for(server, horizon),
-                by_name.schedule_for(server, horizon))
-          << test_case.name << " server " << server;
-    }
-    EXPECT_EQ(by_enum.expected_rate_per_hour(),
-              by_name.expected_rate_per_hour())
-        << test_case.name;
-  }
-}
-
-TEST(PolicyRegistry, MigrationStrategyNamesMatchFlagPairs) {
+TEST(PolicyRegistry, MigrationStrategiesResolveToTheirFlagPairs) {
   const struct {
     const char* name;
     bool deflate_before_transfer;
     bool checkpoint_fallback;
   } cases[] = {{"migrate", false, false},
                {"deflate", true, false},
+               {"checkpoint", false, true},
                {"hybrid", true, true}};
   for (const auto& test_case : cases) {
     const cl::MigrationStrategy strategy =
@@ -365,163 +266,197 @@ TEST(PolicyRegistry, MigrationStrategyNamesMatchFlagPairs) {
         << test_case.name;
     EXPECT_EQ(strategy.checkpoint_fallback, test_case.checkpoint_fallback)
         << test_case.name;
-
-    cl::MigrationEngineConfig config;
-    config.deflate_before_transfer = !test_case.deflate_before_transfer;
-    config.checkpoint_fallback = !test_case.checkpoint_fallback;
-    config.strategy_name = test_case.name;
-    const cl::MigrationEngineConfig resolved =
-        cl::resolve_migration_strategy(config);
-    EXPECT_EQ(resolved.deflate_before_transfer,
-              test_case.deflate_before_transfer)
-        << test_case.name;
-    EXPECT_EQ(resolved.checkpoint_fallback, test_case.checkpoint_fallback)
-        << test_case.name;
   }
+  // The engine's default is the checkpoint pair.
+  EXPECT_EQ(cl::MigrationEngineConfig{}.strategy, "checkpoint");
 }
 
-TEST(PolicyRegistry, SimulationPolicySetMatchesEnumConfigBitExact) {
-  const auto records = small_trace();
+// --- one config field per surface -------------------------------------------
 
-  sc::SimConfig by_enum;
-  by_enum.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
-  by_enum.server_count = sc::TraceDrivenSimulator::servers_for_overcommit(
-      records, by_enum.server_capacity, 0.3);
-  by_enum.placement = cl::PlacementStrategy::BestFit;
-  by_enum.shard_count = 3;
-  by_enum.shard_selection = cl::ShardSelectionPolicy::RoundRobin;
-  by_enum.market_enabled = true;
-  by_enum.market.revocation.model = transient::RevocationModel::Poisson;
+namespace {
 
-  sc::SimConfig by_name = by_enum;
-  by_name.placement = cl::PlacementStrategy::Fitness;
-  by_name.shard_selection = cl::ShardSelectionPolicy::PowerOfTwoChoices;
-  by_name.market.revocation.model = transient::RevocationModel::None;
-  by_name.policies.placement.name = "best-fit";
-  by_name.policies.shard_selection.name = "round-robin";
-  by_name.policies.revocation.name = "poisson";
+/// One registry surface and the config fields its name lives in.
+struct SurfaceCase {
+  const char* surface;
+  void (*set_sim)(sc::SimConfig&, const std::string&);
+  /// The daemon's field for this surface; null when the daemon has none.
+  void (*set_service)(net::ServiceConfig&, const std::string&);
+};
 
-  sc::TraceDrivenSimulator enum_sim(records, by_enum);
-  const sc::SimMetrics a = enum_sim.run();
-  sc::TraceDrivenSimulator name_sim(records, by_name);
-  const sc::SimMetrics b = name_sim.run();
-
-  EXPECT_EQ(a.reclamation_attempts, b.reclamation_attempts);
-  EXPECT_EQ(a.reclamation_failures, b.reclamation_failures);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.rejections, b.rejections);
-  EXPECT_EQ(a.revocations, b.revocations);
-  EXPECT_EQ(a.revocation_migrations, b.revocation_migrations);
-  EXPECT_EQ(a.revocation_kills, b.revocation_kills);
-  EXPECT_EQ(a.failure_probability, b.failure_probability);
-  EXPECT_EQ(a.throughput_loss, b.throughput_loss);
-  EXPECT_EQ(a.mean_cpu_deflation, b.mean_cpu_deflation);
-  EXPECT_EQ(a.cost.total_cost(), b.cost.total_cost());
-  EXPECT_EQ(a.revenue.od_committed_core_hours,
-            b.revenue.od_committed_core_hours);
-  EXPECT_EQ(a.revenue.df_allocated_core_hours,
-            b.revenue.df_allocated_core_hours);
+void set_sim_admission(sc::SimConfig& c, const std::string& n) {
+  c.admission.policy = n;
+}
+void set_sim_placement(sc::SimConfig& c, const std::string& n) {
+  c.placement = n;
+}
+void set_sim_shard_selection(sc::SimConfig& c, const std::string& n) {
+  c.shard_selection = n;
+}
+void set_sim_migration(sc::SimConfig& c, const std::string& n) {
+  c.migration.strategy = n;
+}
+void set_sim_revocation(sc::SimConfig& c, const std::string& n) {
+  c.market.revocation.model = n;
+}
+void set_sim_control(sc::SimConfig& c, const std::string& n) {
+  c.control.forecast = n;
+}
+void set_service_admission(net::ServiceConfig& c, const std::string& n) {
+  c.admission_policy = n;
+}
+void set_service_placement(net::ServiceConfig& c, const std::string& n) {
+  c.placement_policy = n;
+}
+void set_service_shard_selection(net::ServiceConfig& c, const std::string& n) {
+  c.shard_policy = n;
 }
 
-TEST(PolicyRegistry, AdmissionControllerByNameMatchesEnumPath) {
-  transient::SpotPriceConfig spot_config;
-  const transient::PriceTrace prices =
-      transient::SpotPriceModel(spot_config, 11).generate(
-          sim::SimTime::from_hours(24));
-  const std::vector<const transient::PriceTrace*> traces{&prices};
+const SurfaceCase kSurfaceCases[] = {
+    {"admission", set_sim_admission, set_service_admission},
+    {"placement", set_sim_placement, set_service_placement},
+    {"shard-selection", set_sim_shard_selection, set_service_shard_selection},
+    {"migration", set_sim_migration, nullptr},
+    {"revocation", set_sim_revocation, nullptr},
+    {"control", set_sim_control, nullptr},
+};
 
-  cl::ClusterConfig cluster_config;
-  cluster_config.server_count = 8;
-  cluster_config.server_capacity = {16.0, 32768.0, 1e9, 1e9};
-  cl::ClusterManager manager_a(cluster_config);
-  cl::ClusterManager manager_b(cluster_config);
-
-  cl::AdmissionConfig admission;
-  admission.policy = cl::AdmissionPolicyKind::PriceThreshold;
-  auto by_enum = cl::make_admission_controller(admission, manager_a,
-                                               cl::PriceFeed(traces, 1.0));
-  auto by_name = cl::make_admission_controller_by_name(
-      "price", admission, manager_b, cl::PriceFeed(traces, 1.0));
-
-  util::Rng rng(5);
-  for (std::uint64_t id = 1; id <= 60; ++id) {
-    const hv::VmSpec spec = random_spec(rng, id);
-    const sim::SimTime now =
-        sim::SimTime::from_hours(0.3 * static_cast<double>(id));
-    const auto request = cl::AdmissionRequest::from_spec(spec, now);
-    const cl::AdmissionDecision a = by_enum->decide(request, now);
-    const cl::AdmissionDecision b = by_name->decide(request, now);
-    EXPECT_EQ(a.status, b.status) << "vm " << id;
-    EXPECT_EQ(a.placement.host_id, b.placement.host_id) << "vm " << id;
-    EXPECT_EQ(a.quoted_price, b.quoted_price) << "vm " << id;
+policy::SurfaceInfo surface_info(const std::string& surface) {
+  for (policy::SurfaceInfo& info : policy::describe_all_surfaces()) {
+    if (info.surface == surface) return info;
   }
+  ADD_FAILURE() << "surface '" << surface << "' missing from the catalog";
+  return {};
 }
 
-// --- PolicySet --------------------------------------------------------------
-
-TEST(PolicySet, EmptySetValidatesClean) {
-  policy::PolicySet set;
-  EXPECT_TRUE(set.empty());
-  EXPECT_TRUE(set.validate().empty());
+/// A run that exercises every surface: three shards, a Poisson market
+/// with warned revocations streamed off over a finite link, price-aware
+/// admission and the live controller.
+sc::SimConfig every_surface_config(const std::vector<tr::VmRecord>& records) {
+  sc::SimConfig config;
+  config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
+  config.server_count = sc::TraceDrivenSimulator::servers_for_overcommit(
+      records, config.server_capacity, 0.0);
+  config.shard_count = 3;
+  config.worker_threads = 1;
+  config.market_enabled = true;
+  config.market.seed = 5;
+  config.market.revocation.model = "poisson";
+  config.market.revocation.poisson_rate_per_hour = 1.0 / 6.0;
+  config.market.revocation.bid = 0.25;  // under the mean spot price
+  config.market.use_portfolio = false;   // a fixed transient share
+  config.market.on_demand_share = 0.3;
+  config.market.revocation.warning_hours = 120.0 / 3600.0;
+  config.migration.model.bandwidth_mib_per_sec = 256.0;
+  config.admission.policy = "price";
+  config.admission.default_ceiling = 0.3;
+  config.control.enabled = true;
+  config.control.reopt_hours = 6.0;
+  return config;
 }
 
-TEST(PolicySet, UnknownNamesAndParamsProduceOneLineErrors) {
-  policy::PolicySet set;
-  set.placement.name = "does-not-exist";
-  set.revocation.name = "poisson";
-  set.revocation.params = {{"rate", 0.5}};  // wrong: poisson_rate_per_hour
-  set.migration.params = {{"orphan", 1.0}};  // params without a name
+/// Every SimMetrics count plus the loss, deflation and cost doubles as bit
+/// patterns: two runs that decided alike have equal digests.
+std::vector<std::uint64_t> digest(const sc::SimMetrics& m) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return {m.vm_count,
+          m.deflatable_count,
+          m.rejections,
+          m.preemptions,
+          m.reclamation_attempts,
+          m.reclamation_failures,
+          m.revocations,
+          m.revocation_migrations,
+          m.revocation_kills,
+          m.live_migrations,
+          m.checkpoint_restores,
+          m.checkpoint_kills,
+          m.admission_deferrals,
+          m.admission_expired,
+          m.admission_retries,
+          m.control_reopts,
+          m.control_moves,
+          bits(m.throughput_loss),
+          bits(m.mean_cpu_deflation),
+          bits(m.unserved_core_hours),
+          bits(m.admission_delay_hours),
+          bits(m.migration_downtime_hours),
+          bits(m.revenue.od_committed_core_hours),
+          bits(m.revenue.df_allocated_core_hours),
+          bits(m.cost.total_cost())};
+}
 
-  const auto errors = set.validate();
-  ASSERT_EQ(errors.size(), 3U);
-  // Surfaces validate in catalog order: placement first here.
-  EXPECT_NE(errors[0].find("placement"), std::string::npos) << errors[0];
-  EXPECT_NE(errors[0].find("does-not-exist"), std::string::npos) << errors[0];
-  EXPECT_NE(errors[0].find("best-fit"), std::string::npos)
-      << "error must list valid choices: " << errors[0];
+}  // namespace
 
-  bool saw_param_error = false, saw_orphan_error = false;
-  for (const auto& error : errors) {
-    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
-    if (error.find("has no parameter 'rate'") != std::string::npos) {
-      saw_param_error = true;
-      EXPECT_NE(error.find("poisson_rate_per_hour"), std::string::npos)
-          << error;
+class PolicyNames : public ::testing::TestWithParam<SurfaceCase> {};
+
+TEST_P(PolicyNames, UnknownNameThrowsAtConstructionListingValidNames) {
+  const SurfaceCase& surface = GetParam();
+  const policy::SurfaceInfo info = surface_info(surface.surface);
+  const auto expect_listing = [&](const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("no-such-policy"), std::string::npos) << what;
+    for (const policy::PolicyInfo& entry : info.policies) {
+      EXPECT_NE(what.find(entry.name), std::string::npos)
+          << "error must list '" << entry.name << "': " << what;
     }
-    if (error.find("parameters given without a policy name") !=
-        std::string::npos) {
-      saw_orphan_error = true;
-      EXPECT_NE(error.find("migration"), std::string::npos) << error;
-    }
-  }
-  EXPECT_TRUE(saw_param_error);
-  EXPECT_TRUE(saw_orphan_error);
-}
+  };
 
-TEST(PolicySet, KnownParamsValidateAndReadBack) {
-  policy::PolicySet set;
-  set.revocation.name = "poisson";
-  set.revocation.params = {{"poisson_rate_per_hour", 0.125}};
-  EXPECT_TRUE(set.validate().empty());
-  EXPECT_EQ(set.revocation.param_or("poisson_rate_per_hour", 1.0), 0.125);
-  EXPECT_EQ(set.revocation.param_or("absent", 9.5), 9.5);
-  EXPECT_FALSE(set.empty());
-}
-
-TEST(PolicySet, SimulatorRejectsInvalidPolicySetUpFront) {
+  // Flat fleet, no market, instant migration, controller off: the name
+  // must be rejected even where this run would never use it.
   const auto records = small_trace(50, 3);
   sc::SimConfig config;
   config.server_count = 10;
-  config.policies.placement.name = "not-a-policy";
+  surface.set_sim(config, "no-such-policy");
   try {
     sc::TraceDrivenSimulator simulator(records, config);
-    FAIL() << "invalid PolicySet must throw at construction";
+    ADD_FAILURE() << surface.surface << ": simulator accepted an unknown name";
   } catch (const std::invalid_argument& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("placement"), std::string::npos) << what;
-    EXPECT_NE(what.find("not-a-policy"), std::string::npos) << what;
+    expect_listing(error);
+  }
+
+  if (surface.set_service == nullptr) return;
+  net::ServiceConfig service;
+  service.server_count = 4;  // one shard: the selector never routes
+  surface.set_service(service, "no-such-policy");
+  try {
+    net::ServiceCore core(service);
+    ADD_FAILURE() << surface.surface
+                  << ": ServiceCore accepted an unknown name";
+  } catch (const std::invalid_argument& error) {
+    expect_listing(error);
   }
 }
+
+TEST_P(PolicyNames, EveryAliasDecidesBitIdenticallyToItsPrimaryName) {
+  const SurfaceCase& surface = GetParam();
+  const auto records = small_trace(200, 11);
+  const auto run = [&](const std::string& name) {
+    sc::SimConfig config = every_surface_config(records);
+    surface.set_sim(config, name);
+    return sc::TraceDrivenSimulator(records, config).run();
+  };
+  for (const policy::PolicyInfo& entry :
+       surface_info(surface.surface).policies) {
+    if (entry.aliases.empty()) continue;
+    const sc::SimMetrics primary = run(entry.name);
+    // Not vacuous: the run exercises every surface.
+    EXPECT_GT(primary.revocations, 0U) << entry.name;
+    EXPECT_GT(primary.live_migrations, 0U) << entry.name;
+    EXPECT_GT(primary.control_reopts, 0U) << entry.name;
+    for (const std::string& alias : entry.aliases) {
+      EXPECT_EQ(digest(run(alias)), digest(primary))
+          << surface.surface << ": '" << alias << "' vs '" << entry.name << "'";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EverySurface, PolicyNames, ::testing::ValuesIn(kSurfaceCases),
+    [](const ::testing::TestParamInfo<SurfaceCase>& info) {
+      std::string name = info.param.surface;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 // --- concurrency (CI runs this suite under TSan) ----------------------------
 

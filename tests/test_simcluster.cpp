@@ -208,7 +208,7 @@ TEST(SimCluster, PriorityPolicyReducesLossVsProportional) {
 // The full ablation-knob matrix must run end-to-end and stay deterministic.
 struct KnobCase {
   deflate::mech::MechanismKind mechanism;
-  cl::PlacementStrategy placement;
+  const char* placement;
   bool reinflate;
 };
 
@@ -236,16 +236,11 @@ TEST_P(SimClusterKnobs, EndToEndAndDeterministic) {
 INSTANTIATE_TEST_SUITE_P(
     Knobs, SimClusterKnobs,
     ::testing::Values(
-        KnobCase{deflate::mech::MechanismKind::Hybrid,
-                 cl::PlacementStrategy::Fitness, true},
-        KnobCase{deflate::mech::MechanismKind::Transparent,
-                 cl::PlacementStrategy::FirstFit, true},
-        KnobCase{deflate::mech::MechanismKind::Explicit,
-                 cl::PlacementStrategy::BestFit, true},
-        KnobCase{deflate::mech::MechanismKind::Balloon,
-                 cl::PlacementStrategy::WorstFit, true},
-        KnobCase{deflate::mech::MechanismKind::Hybrid,
-                 cl::PlacementStrategy::Fitness, false}));
+        KnobCase{deflate::mech::MechanismKind::Hybrid, "fitness", true},
+        KnobCase{deflate::mech::MechanismKind::Transparent, "first-fit", true},
+        KnobCase{deflate::mech::MechanismKind::Explicit, "best-fit", true},
+        KnobCase{deflate::mech::MechanismKind::Balloon, "worst-fit", true},
+        KnobCase{deflate::mech::MechanismKind::Hybrid, "fitness", false}));
 
 TEST(SimCluster, NoReinflationMeansDeeperMeanDeflation) {
   const auto records = small_trace(600, 9);

@@ -4,6 +4,8 @@
 // the portfolio saving vs an all-on-demand fleet.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "simcluster/cluster_sim.hpp"
 #include "trace/azure.hpp"
 
@@ -24,7 +26,7 @@ std::vector<tr::VmRecord> small_trace(std::size_t n = 400,
 }
 
 sc::SimConfig market_config(const std::vector<tr::VmRecord>& records,
-                            tn::RevocationModel model,
+                            const std::string& model,
                             double headroom = 0.0) {
   sc::SimConfig config;
   config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};

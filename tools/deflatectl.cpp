@@ -8,7 +8,8 @@
 //               [--partitioned] [--no-reinflate]
 //               [--shards N] [--shard-policy p2c|least-loaded|round-robin]
 //   deflatectl feasibility --in t.csv
-//   deflatectl revoke-sim --in t.csv [--servers N] [--model poisson|temporal|price]
+//   deflatectl revoke-sim --in t.csv [--servers N]
+//               [--model none|poisson|temporal|price]
 //               [--rate R] [--bid B] [--no-portfolio] [--od-share S]
 //               [--floor F] [--risk A] [--mode deflation|preemption]
 //               [--partitioned] [--seed S]
@@ -16,7 +17,7 @@
 //               [--shards N] [--shard-policy p2c|least-loaded|round-robin]
 //               [--warning-secs W] [--migration-bandwidth B]
 //               [--migration-dirty-rate D] [--migration-contention]
-//               [--migration-strategy migrate|deflate|hybrid]
+//               [--migration-strategy migrate|deflate|checkpoint|hybrid]
 //               [--admission admit-all|price|bid-opt] [--price-ceiling C]
 //               [--defer-hours H] [--bid-opt]
 //               [--reopt-hours H] [--forecast static|ewma|windowed]
@@ -36,6 +37,10 @@
 // placement, shard-selection, migration, revocation, control) with its
 // registered policies, aliases and tunable parameters — including
 // policies added by link-time plugins (src/policy/registry.hpp).
+// The six policy flags (--admission, --placement, --shard-policy,
+// --migration-strategy, --model, --forecast) take any name or alias
+// list-policies shows for their surface; the lists above name the
+// builtins. Tables print the primary name.
 //
 // --reopt-hours/--forecast/--reopt-max-moves enable the online control
 // plane (src/control): any of them turns the rolling re-optimization loop
@@ -73,7 +78,8 @@
 // share the link (each sees bandwidth / N).
 // --migration-strategy: migrate = full-footprint pre-copy, kill on a
 // missed deadline; deflate = stream the deflated footprint, kill on a
-// miss; hybrid (default) = deflated transfer + checkpoint-relaunch
+// miss; checkpoint = full-footprint pre-copy + checkpoint-relaunch
+// fallback; hybrid (default) = deflated transfer + checkpoint-relaunch
 // fallback.
 // --admission selects the Admission API v2 policy (src/cluster/
 // admission.hpp): price defers deflatable launches while the spot quote
@@ -133,7 +139,7 @@ int usage() {
       "             [--shard-policy p2c|least-loaded|round-robin]\n"
       "             [--warning-secs W] [--migration-bandwidth MiB/s]\n"
       "             [--migration-dirty-rate MiB/s] [--migration-contention]\n"
-      "             [--migration-strategy migrate|deflate|hybrid]\n"
+      "             [--migration-strategy migrate|deflate|checkpoint|hybrid]\n"
       "             [--admission admit-all|price|bid-opt] [--price-ceiling C]\n"
       "             [--defer-hours H] [--bid-opt]\n"
       "             [--reopt-hours H] [--forecast static|ewma|windowed]\n"
@@ -165,23 +171,30 @@ int flag_error(const std::string& message) {
   return 1;
 }
 
-/// One-line "flag --X: unknown value 'v' (expected a|b|c)" diagnostic
-/// with the choice list pulled from the surface's registry — plugin
-/// policies appear automatically.
+/// Writes flag --`flag` (default `fallback`) into the config field
+/// `field` when the surface's registry knows the name; otherwise prints
+/// "flag --X: unknown value 'v' (expected a|b|c)", with the choice list
+/// pulled from the registry (plugin policies appear automatically), and
+/// returns false.
 template <typename Surface>
-int unknown_policy_error(const std::string& flag, const std::string& value) {
-  return flag_error("flag --" + flag + ": unknown value '" + value +
-                    "' (expected " + policy::joined_policy_names<Surface>() +
-                    ")");
+bool set_policy_flag(const CliArgs& args, const std::string& flag,
+                     const std::string& fallback, std::string& field) {
+  const std::string value = args.get(flag, fallback);
+  if (policy::PolicyRegistry<Surface>::instance().find(value) == nullptr) {
+    flag_error("flag --" + flag + ": unknown value '" + value +
+               "' (expected " + policy::joined_policy_names<Surface>() + ")");
+    return false;
+  }
+  field = value;
+  return true;
 }
 
-// The policy-name parsers below all resolve through the registries
-// (aliases included) instead of hand-rolled string ladders; the enum they
-// return is the legacy alias of the matched entry.
-
-std::optional<transient::RevocationModel> parse_revocation_model(
-    const std::string& name) {
-  return transient::revocation_model_from_name(name);
+/// The primary registry name `name` resolves to (aliases included), or
+/// `name` itself when unknown.
+template <typename Surface>
+std::string primary_name(const std::string& name) {
+  const auto* entry = policy::PolicyRegistry<Surface>::instance().find(name);
+  return entry != nullptr ? entry->name : name;
 }
 
 std::optional<core::PolicyKind> parse_policy(const std::string& name) {
@@ -200,32 +213,13 @@ std::optional<mech::MechanismKind> parse_mechanism(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<cluster::PlacementStrategy> parse_placement(
-    const std::string& name) {
-  return cluster::placement_strategy_from_name(name);
-}
-
-std::optional<cluster::ShardSelectionPolicy> parse_shard_policy(
-    const std::string& name) {
-  return cluster::shard_selection_from_name(name);
-}
-
-std::optional<cluster::AdmissionPolicyKind> parse_admission_policy(
-    const std::string& name) {
-  return cluster::admission_policy_from_name(name);
-}
-
 /// Applies the shared online-control flags (--reopt-hours, --forecast,
-/// --reopt-max-moves): any of them enables the controller. Returns 0, or
-/// the usage-error exit code for an unknown forecast name.
-int apply_control_flags(const CliArgs& args, simcluster::SimConfig& config) {
-  if (args.has("forecast")) {
-    const std::string forecast = args.get("forecast", "");
-    if (control::ControlRegistry::instance().find(forecast) == nullptr) {
-      return unknown_policy_error<control::ControlSurface>("forecast",
-                                                           forecast);
-    }
-    config.control.forecast = forecast;
+/// --reopt-max-moves): any of them enables the controller. Returns false
+/// on an unknown forecast name.
+bool apply_control_flags(const CliArgs& args, simcluster::SimConfig& config) {
+  if (!set_policy_flag<control::ControlSurface>(
+          args, "forecast", config.control.forecast, config.control.forecast)) {
+    return false;
   }
   if (args.has("reopt-hours") || args.has("forecast") ||
       args.has("reopt-max-moves")) {
@@ -237,7 +231,7 @@ int apply_control_flags(const CliArgs& args, simcluster::SimConfig& config) {
                         static_cast<double>(
                             config.control.max_moves_per_window)));
   }
-  return 0;
+  return true;
 }
 
 /// Applies the shared --shards / --shard-policy flags; returns false on a
@@ -245,10 +239,8 @@ int apply_control_flags(const CliArgs& args, simcluster::SimConfig& config) {
 bool apply_shard_flags(const CliArgs& args, simcluster::SimConfig& config) {
   config.shard_count =
       static_cast<std::size_t>(args.get_double("shards", 1));
-  const auto policy = parse_shard_policy(args.get("shard-policy", "p2c"));
-  if (!policy) return false;
-  config.shard_selection = *policy;
-  return true;
+  return set_policy_flag<cluster::ShardSelectionSurface>(
+      args, "shard-policy", config.shard_selection, config.shard_selection);
 }
 
 int cmd_trace_generate(const CliArgs& args) {
@@ -337,14 +329,12 @@ int cmd_simulate(const CliArgs& args) {
                                     args.get("mechanism", "") +
                                     "' (expected hybrid|transparent|"
                                     "explicit|balloon)");
-  const auto placement = parse_placement(args.get("placement", "fitness"));
-  if (!placement) {
-    return unknown_policy_error<cluster::PlacementSurface>(
-        "placement", args.get("placement", ""));
+  if (!set_policy_flag<cluster::PlacementSurface>(
+          args, "placement", config.placement, config.placement)) {
+    return 1;
   }
   config.policy = *policy;
   config.mechanism = *mechanism;
-  config.placement = *placement;
   const std::string mode = args.get("mode", "deflation");
   if (mode != "deflation" && mode != "preemption") {
     return flag_error("flag --mode: unknown value '" + mode +
@@ -354,10 +344,7 @@ int cmd_simulate(const CliArgs& args) {
                                      : cluster::ReclamationMode::Deflation;
   config.partitioned = args.has("partitioned");
   config.reinflate_on_departure = !args.has("no-reinflate");
-  if (!apply_shard_flags(args, config)) {
-    return unknown_policy_error<cluster::ShardSelectionSurface>(
-        "shard-policy", args.get("shard-policy", ""));
-  }
+  if (!apply_shard_flags(args, config)) return 1;
 
   const double overcommit = args.get_double("overcommit", 0.0);
   if (args.has("servers")) {
@@ -383,7 +370,8 @@ int cmd_simulate(const CliArgs& args) {
   if (config.shard_count > 1) {
     table.add_row({"shards",
                    std::to_string(config.shard_count) + " (" +
-                       cluster::shard_selection_name(config.shard_selection) +
+                       primary_name<cluster::ShardSelectionSurface>(
+                           config.shard_selection) +
                        ")"});
   }
   table.add_row({"achieved overcommit",
@@ -409,6 +397,13 @@ int cmd_simulate(const CliArgs& args) {
 }
 
 int cmd_revoke_sim(const CliArgs& args) {
+  // The admission flag's primary name (aliases resolved): the checks below
+  // and the bid optimizer switch branch on it.
+  const std::string admission = primary_name<cluster::AdmissionSurface>(
+      args.get("admission", cluster::AdmissionPolicyKind::AdmitAll));
+  const bool price_aware =
+      admission == cluster::AdmissionPolicyKind::PriceThreshold ||
+      admission == cluster::AdmissionPolicyKind::BidOptimized;
   CliValidator validator(args);
   validator
       .allow_only({"in", "servers", "model", "rate", "bid", "no-portfolio",
@@ -438,17 +433,15 @@ int cmd_revoke_sim(const CliArgs& args) {
       .require_at_least("reopt-hours", 1e-6)
       .require_integer_at_least("reopt-max-moves", 0)
       .check(!args.has("price-ceiling") ||
-                 args.get("admission", "admit-all") == "price",
+                 admission == cluster::AdmissionPolicyKind::PriceThreshold,
              "flag --price-ceiling requires --admission price (admit-all "
              "ignores it; bid-opt derives its ceilings from the optimizer)")
-      .check(!args.has("defer-hours") ||
-                 args.get("admission", "admit-all") == "price" ||
-                 args.get("admission", "admit-all") == "bid-opt",
+      .check(!args.has("defer-hours") || price_aware,
              "flag --defer-hours requires --admission price|bid-opt (the "
              "deferral window has no effect under admit-all)")
       .check(!(args.has("bid") &&
                (args.has("bid-opt") ||
-                args.get("admission", "admit-all") == "bid-opt")),
+                admission == cluster::AdmissionPolicyKind::BidOptimized)),
              "flags --bid and --bid-opt/--admission bid-opt conflict (the "
              "optimizer replaces the hand-set bid)")
       .check(!args.has("correlation") || args.get_double("markets", 1) >= 2,
@@ -471,10 +464,7 @@ int cmd_revoke_sim(const CliArgs& args) {
   // With --partitioned the portfolio's pool weights shape the partitions
   // and the on-demand pool is exactly the never-revoked server set.
   config.partitioned = args.has("partitioned");
-  if (!apply_shard_flags(args, config)) {
-    return unknown_policy_error<cluster::ShardSelectionSurface>(
-        "shard-policy", args.get("shard-policy", ""));
-  }
+  if (!apply_shard_flags(args, config)) return 1;
   if (args.has("servers")) {
     config.server_count =
         static_cast<std::size_t>(args.get_double("servers", 40));
@@ -485,14 +475,13 @@ int cmd_revoke_sim(const CliArgs& args) {
             records, config.server_capacity, -0.2);
   }
 
-  const auto model = parse_revocation_model(args.get("model", "poisson"));
-  if (!model) {
-    return unknown_policy_error<transient::RevocationSurface>(
-        "model", args.get("model", ""));
+  if (!set_policy_flag<transient::RevocationSurface>(
+          args, "model", transient::RevocationModel::Poisson,
+          config.market.revocation.model)) {
+    return 1;
   }
   config.market_enabled = true;
   config.market.seed = static_cast<std::uint64_t>(args.get_double("seed", 42));
-  config.market.revocation.model = *model;
   config.market.revocation.poisson_rate_per_hour =
       args.get_double("rate", 1.0 / 24.0);
   config.market.revocation.bid = args.get_double("bid", 0.5);
@@ -502,18 +491,16 @@ int cmd_revoke_sim(const CliArgs& args) {
   config.market.portfolio.risk_aversion = args.get_double("risk", 2.0);
 
   // Admission API v2 + per-class bid optimization.
-  const std::string admission = args.get("admission", "admit-all");
-  const auto admission_policy = parse_admission_policy(admission);
-  if (!admission_policy) {
-    return unknown_policy_error<cluster::AdmissionSurface>("admission",
-                                                           admission);
+  if (!set_policy_flag<cluster::AdmissionSurface>(
+          args, "admission", config.admission.policy,
+          config.admission.policy)) {
+    return 1;
   }
-  config.admission.policy = *admission_policy;
   config.admission.default_ceiling = args.get_double("price-ceiling", 0.35);
   config.admission.max_defer_hours = args.get_double("defer-hours", 6.0);
   config.market.optimize_bids =
       args.has("bid-opt") ||
-      *admission_policy == cluster::AdmissionPolicyKind::BidOptimized;
+      admission == cluster::AdmissionPolicyKind::BidOptimized;
 
   // Timed migration: set the warning before replicate_markets below so
   // every market copy inherits it.
@@ -524,14 +511,10 @@ int cmd_revoke_sim(const CliArgs& args) {
   config.migration.model.dirty_mib_per_sec =
       args.get_double("migration-dirty-rate", 64.0);
   config.migration.model.share_bandwidth = args.has("migration-contention");
-  const std::string strategy = args.get("migration-strategy", "hybrid");
-  if (cluster::MigrationRegistry::instance().find(strategy) == nullptr) {
-    return unknown_policy_error<cluster::MigrationSurface>(
-        "migration-strategy", strategy);
+  if (!set_policy_flag<cluster::MigrationSurface>(
+          args, "migration-strategy", "hybrid", config.migration.strategy)) {
+    return 1;
   }
-  // Resolved onto the deflate_before_transfer/checkpoint_fallback pair by
-  // the MigrationEngine constructor.
-  config.migration.strategy_name = strategy;
 
   // Multi-market fleet: K copies of the configured market, coupled by a
   // uniform pairwise correlation, each with its own revocation stream.
@@ -546,16 +529,15 @@ int cmd_revoke_sim(const CliArgs& args) {
       args.get_double("common-shock-rate", 0.0);
 
   // Online control plane (rolling re-optimization).
-  if (const int error = apply_control_flags(args, config); error != 0) {
-    return error;
-  }
+  if (!apply_control_flags(args, config)) return 1;
 
   simcluster::TraceDrivenSimulator simulator(records, config);
   const auto metrics = simulator.run();
 
   util::Table table({"metric", "value"});
   table.add_row({"revocation model",
-                 transient::revocation_model_name(*model)});
+                 primary_name<transient::RevocationSurface>(
+                     config.market.revocation.model)});
   table.add_row({"servers", std::to_string(config.server_count)});
   if (config.shard_count > 1) {
     table.add_row({"shards", std::to_string(config.shard_count)});
@@ -571,9 +553,8 @@ int cmd_revoke_sim(const CliArgs& args) {
   table.add_row({"revocations", std::to_string(metrics.revocations)});
   table.add_row({"vm migrations", std::to_string(metrics.revocation_migrations)});
   table.add_row({"vm kills", std::to_string(metrics.revocation_kills)});
-  if (*admission_policy != cluster::AdmissionPolicyKind::AdmitAll) {
-    table.add_row({"admission policy",
-                   cluster::admission_policy_name(*admission_policy)});
+  if (admission != cluster::AdmissionPolicyKind::AdmitAll) {
+    table.add_row({"admission policy", admission});
     table.add_row({"deferrals", std::to_string(metrics.admission_deferrals)});
     table.add_row({"expired deferrals",
                    std::to_string(metrics.admission_expired)});
@@ -585,7 +566,9 @@ int cmd_revoke_sim(const CliArgs& args) {
                        ")"});
   }
   if (config.migration.model.bandwidth_mib_per_sec > 0.0) {
-    table.add_row({"migration strategy", strategy});
+    table.add_row({"migration strategy",
+                   primary_name<cluster::MigrationSurface>(
+                       config.migration.strategy)});
     table.add_row({"warning", args.get("warning-secs", "0") + "s @ " +
                                   args.get("migration-bandwidth", "0") +
                                   " MiB/s"});
@@ -602,7 +585,8 @@ int cmd_revoke_sim(const CliArgs& args) {
                        ")"});
   }
   if (config.control.enabled) {
-    table.add_row({"forecast policy", config.control.forecast});
+    table.add_row({"forecast policy", primary_name<control::ControlSurface>(
+                                          config.control.forecast)});
     table.add_row({"re-optimizations",
                    std::to_string(metrics.control_reopts)});
     table.add_row({"control moves", std::to_string(metrics.control_moves)});
@@ -857,16 +841,11 @@ int cmd_replay_trace(const CliArgs& args) {
   const auto stream = trace::make_arrival_stream(replay);
 
   simcluster::SimConfig config;
-  if (!apply_shard_flags(args, config)) {
-    return unknown_policy_error<cluster::ShardSelectionSurface>(
-        "shard-policy", args.get("shard-policy", ""));
-  }
+  if (!apply_shard_flags(args, config)) return 1;
   // Validated and carried for symmetry with revoke-sim; replay-trace has
   // no market plan, so an enabled controller is inert (nothing to
   // re-optimize).
-  if (const int error = apply_control_flags(args, config); error != 0) {
-    return error;
-  }
+  if (!apply_control_flags(args, config)) return 1;
   if (args.has("servers")) {
     config.server_count =
         static_cast<std::size_t>(args.get_double("servers", 40));

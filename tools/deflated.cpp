@@ -10,8 +10,9 @@
 // framed binary codec (src/net/codec.hpp) on loopback TCP: one
 // ShardedClusterManager fleet, one spot-price feed, one admission policy
 // picked *by name* from the self-describing registry
-// (src/net/registry.hpp — `--list-policies` prints every name with its
-// description). --port 0 (the default) binds an ephemeral port;
+// (src/cluster/admission.hpp — `--list-policies` prints every name with
+// its description). --shard-policy and --admission take any registry name
+// or alias of their surface. --port 0 (the default) binds an ephemeral port;
 // --port-file writes the bound port to FILE so scripts (CI smoke) can
 // find it. --capture appends every admission request and decision to a
 // replayable message log (`deflatectl replay` verifies it).
@@ -25,7 +26,6 @@
 #include <iostream>
 #include <string>
 
-#include "net/registry.hpp"
 #include "net/server.hpp"
 #include "policy/catalog.hpp"
 #include "util/cli.hpp"
@@ -92,22 +92,18 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_double("servers", 40));
     config.shard_count =
         static_cast<std::size_t>(args.get_double("shards", 1));
-    const std::string shard_policy_name = args.get("shard-policy", "p2c");
-    const auto shard_policy = net::parse_shard_policy(shard_policy_name);
-    if (!shard_policy.has_value() &&
-        cluster::ShardSelectionRegistry::instance().find(shard_policy_name) ==
-            nullptr) {
+    config.shard_policy = args.get("shard-policy", config.shard_policy);
+    if (cluster::ShardSelectionRegistry::instance().find(
+            config.shard_policy) == nullptr) {
       std::cerr << "error: flag --shard-policy: unknown value '"
-                << shard_policy_name << "' (expected "
+                << config.shard_policy << "' (expected "
                 << policy::joined_policy_names<cluster::ShardSelectionSurface>()
                 << ")\n";
       return 1;
     }
-    // A plugin-registered selector has no enum value; the name field
-    // selects it (ServiceCore gives the name precedence).
-    config.shard_policy = shard_policy.value_or(config.shard_policy);
-    config.shard_policy_name = shard_policy_name;
-    config.admission_policy = args.get("admission", "admit-all");
+    // An unknown admission name throws std::invalid_argument from the
+    // server's ServiceCore: exit 1 with the valid choices.
+    config.admission_policy = args.get("admission", config.admission_policy);
     config.admission.default_ceiling =
         args.get_double("price-ceiling", config.admission.default_ceiling);
     config.admission.max_defer_hours =
