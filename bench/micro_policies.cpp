@@ -1,8 +1,12 @@
 // Micro-benchmark: deflation-policy solve throughput. The local controller
 // invokes the policy once per resource dimension per placement, so the
-// per-call latency bounds cluster-manager throughput.
+// per-call latency bounds cluster-manager throughput. Also the per-host
+// refresh a cluster manager runs for every dirty server.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "core/local_controller.hpp"
 #include "core/policy.hpp"
 #include "util/rng.hpp"
 
@@ -56,3 +60,38 @@ static void bench_reclaimable(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(bench_reclaimable)->Arg(64)->Arg(512);
+
+// One server's scan-table refresh, as ClusterManager::refresh_view computes
+// it: available(), the controller's reclaimable_headroom() and
+// overcommit_ratio(), on a host with state.range(0) residents (half of
+// them deflatable, some already deflated).
+static void bench_host_refresh(benchmark::State& state) {
+  using namespace deflate;
+  util::Rng rng(5);
+  hv::SimHypervisor hypervisor(0, {64.0, 262144.0, 4000.0, 40000.0});
+  const core::LocalDeflationController controller(
+      hypervisor, core::make_policy(PolicyKind::Priority),
+      mech::make_mechanism(mech::MechanismKind::Transparent));
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    hv::VmSpec spec;
+    spec.id = static_cast<std::uint64_t>(i);
+    spec.name = "vm";
+    spec.vcpus = static_cast<int>(rng.uniform_int(1, 8));
+    spec.memory_mib = rng.uniform(1024.0, 16384.0);
+    spec.deflatable = i % 2 == 0;
+    spec.priority = spec.deflatable ? rng.uniform(0.2, 0.8) : 1.0;
+    hv::Vm& vm = hypervisor.create_vm(spec);
+    if (spec.deflatable && i % 4 == 0) {
+      vm.set_cpu_quota(0.6 * spec.vcpus);
+      vm.set_memory_limit(0.6 * spec.memory_mib);
+    }
+  }
+  const hv::Host& host = hypervisor.host();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(host.available());
+    benchmark::DoNotOptimize(controller.reclaimable_headroom());
+    benchmark::DoNotOptimize(host.overcommit_ratio());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(bench_host_refresh)->Arg(8)->Arg(32);

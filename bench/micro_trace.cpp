@@ -1,11 +1,15 @@
 // Micro-benchmark: synthetic trace generation rate (VMs/second), the
-// feasibility statistic kernel, and the streaming replay path (arrival-stub
-// indexing and windowed record delivery).
+// feasibility statistic and percentile kernels, and the streaming replay
+// path (arrival-stub indexing and windowed record delivery).
 #include <benchmark/benchmark.h>
+
+#include <utility>
+#include <vector>
 
 #include "trace/alibaba.hpp"
 #include "trace/azure.hpp"
 #include "trace/replay.hpp"
+#include "util/rng.hpp"
 
 static void bench_azure_generate_vm(benchmark::State& state) {
   using namespace deflate::trace;
@@ -49,6 +53,22 @@ static void bench_fraction_above(benchmark::State& state) {
                           static_cast<std::int64_t>(record.cpu.size()));
 }
 BENCHMARK(bench_fraction_above);
+
+// The p95 that sets a deflatable VM's priority at arrival (Fig. 8's
+// buckets), on one day of 5-minute samples (288).
+static void bench_percentile(benchmark::State& state) {
+  using namespace deflate::trace;
+  deflate::util::Rng rng(9);
+  std::vector<float> samples(288);
+  for (float& s : samples) s = static_cast<float>(rng.logit_normal(-1.0, 1.0));
+  const UtilizationSeries series(std::move(samples));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(series.percentile(0.95));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(series.size()));
+}
+BENCHMARK(bench_percentile);
 
 // Stub projection: the O(1) header-only draw the streaming index is built
 // from — the reason indexing a multi-million-VM trace is cheap.

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -193,9 +194,14 @@ int main() {
   const auto batched = run_service(per_client, 64);
 
   util::Table table({"mode", "connections", "batch", "decisions/s"});
-  table.add_row_labeled("in-process", {1, 0, in_process});
-  table.add_row_labeled("sync", {kConnections, 1, sync});
-  table.add_row_labeled("batched", {kConnections, 64, batched});
+  const auto row = [&table](const char* mode, int connections, int batch,
+                            double decisions_per_s) {
+    table.add_row({mode, std::to_string(connections), std::to_string(batch),
+                   util::format_double(decisions_per_s)});
+  };
+  row("in-process", 1, 0, in_process);
+  row("sync", kConnections, 1, sync);
+  row("batched", kConnections, 64, batched);
   table.print(std::cout);
   std::printf("\nbatched/sync speedup: %.1fx (gate: >= 2x)\n",
               batched / sync);

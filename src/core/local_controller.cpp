@@ -7,6 +7,51 @@
 
 namespace deflate::core {
 
+namespace {
+
+/// A VM's inputs to the per-resource policy calls. spec().vector(),
+/// allocation_floor() and effective_allocation() are pure, so reading them
+/// once per VM instead of once per resource gives the same doubles.
+struct ShareRow {
+  std::uint64_t id = 0;
+  double priority = 1.0;
+  res::ResourceVector max_alloc;
+  res::ResourceVector min_alloc;
+  res::ResourceVector current;
+};
+
+ShareRow share_row(const hv::Vm& vm) {
+  return {vm.spec().id, vm.spec().priority, vm.spec().vector(),
+          vm.allocation_floor(), vm.effective_allocation()};
+}
+
+VmShare share_of(const ShareRow& row, res::Resource r) {
+  VmShare share;
+  share.id = row.id;
+  share.max_alloc = row.max_alloc[r];
+  share.min_alloc = row.min_alloc[r];
+  share.priority = row.priority;
+  share.current = row.current[r];
+  return share;
+}
+
+std::vector<ShareRow> share_rows(const std::vector<hv::Vm*>& vms) {
+  std::vector<ShareRow> rows;
+  rows.reserve(vms.size());
+  for (const hv::Vm* vm : vms) rows.push_back(share_row(*vm));
+  return rows;
+}
+
+std::vector<VmShare> shares_of(const std::vector<ShareRow>& rows,
+                               res::Resource r) {
+  std::vector<VmShare> shares;
+  shares.reserve(rows.size());
+  for (const ShareRow& row : rows) shares.push_back(share_of(row, r));
+  return shares;
+}
+
+}  // namespace
+
 LocalDeflationController::LocalDeflationController(
     hv::SimHypervisor& hypervisor, std::shared_ptr<const DeflationPolicy> policy,
     std::shared_ptr<mech::DeflationMechanism> mechanism)
@@ -26,10 +71,11 @@ LocalDeflationController::Plan LocalDeflationController::plan_reclaim(
     }
   }
 
+  const std::vector<ShareRow> rows = share_rows(deflatable);
   plan.vms = deflatable;
   plan.targets.resize(deflatable.size());
   for (std::size_t i = 0; i < deflatable.size(); ++i) {
-    plan.targets[i] = deflatable[i]->effective_allocation();
+    plan.targets[i] = rows[i].current;
   }
 
   plan.success = true;
@@ -39,18 +85,7 @@ LocalDeflationController::Plan LocalDeflationController::plan_reclaim(
       plan.success = false;
       break;
     }
-    std::vector<VmShare> shares;
-    shares.reserve(deflatable.size());
-    for (const hv::Vm* vm : deflatable) {
-      VmShare share;
-      share.id = vm->spec().id;
-      share.max_alloc = vm->spec().vector()[r];
-      share.min_alloc = vm->allocation_floor()[r];
-      share.priority = vm->spec().priority;
-      share.current = vm->effective_allocation()[r];
-      shares.push_back(share);
-    }
-    const PolicyResult result = policy_->reclaim(shares, need[r]);
+    const PolicyResult result = policy_->reclaim(shares_of(rows, r), need[r]);
     if (!result.success) {
       plan.success = false;
       break;
@@ -77,14 +112,10 @@ res::ResourceVector LocalDeflationController::reclaimable_headroom() const {
   res::ResourceVector headroom;
   for (const hv::Vm* vm : hypervisor_.host().vms()) {
     if (!vm->spec().deflatable || vm->state() != hv::VmState::Running) continue;
+    const ShareRow row = share_row(*vm);
     for (const res::Resource r : res::all_resources) {
-      VmShare share;
-      share.id = vm->spec().id;
-      share.max_alloc = vm->spec().vector()[r];
-      share.min_alloc = vm->allocation_floor()[r];
-      share.priority = vm->spec().priority;
-      share.current = vm->effective_allocation()[r];
-      headroom[r] += std::max(0.0, share.current - policy_->min_retained(share));
+      headroom[r] += std::max(
+          0.0, row.current[r] - policy_->min_retained(share_of(row, r)));
     }
   }
   return headroom;
@@ -141,25 +172,15 @@ res::ResourceVector LocalDeflationController::redistribute_free() {
   }
   if (deflated.empty()) return {};
 
+  const std::vector<ShareRow> rows = share_rows(deflated);
   std::vector<res::ResourceVector> targets(deflated.size());
   for (std::size_t i = 0; i < deflated.size(); ++i) {
-    targets[i] = deflated[i]->effective_allocation();
+    targets[i] = rows[i].current;
   }
 
   for (const res::Resource r : res::all_resources) {
     if (free[r] <= 1e-9) continue;
-    std::vector<VmShare> shares;
-    shares.reserve(deflated.size());
-    for (const hv::Vm* vm : deflated) {
-      VmShare share;
-      share.id = vm->spec().id;
-      share.max_alloc = vm->spec().vector()[r];
-      share.min_alloc = vm->allocation_floor()[r];
-      share.priority = vm->spec().priority;
-      share.current = vm->effective_allocation()[r];
-      shares.push_back(share);
-    }
-    const PolicyResult result = policy_->reclaim(shares, -free[r]);
+    const PolicyResult result = policy_->reclaim(shares_of(rows, r), -free[r]);
     for (std::size_t i = 0; i < deflated.size(); ++i) {
       targets[i][r] = result.targets[i];
     }

@@ -60,12 +60,24 @@ PolicyResult solve_weighted(std::span<const VmShare> vms,
     double beta_hi = 1.0;
     while (eval(beta_hi) < goal - kEps && beta_hi < 1e12) beta_hi *= 2.0;
     double beta_lo = 0.0;
+    // At most 96 halvings; stop early once the bracket cannot shrink, which
+    // returns the same beta_hi the full 96 steps would:
+    //  * mid == beta_hi: either branch leaves beta_hi unchanged (the
+    //    eval < goal branch sets beta_lo = beta_hi), and so does every
+    //    later step, whose midpoint is beta_hi again.
+    //  * mid == beta_lo > 0: an earlier step set beta_lo only after
+    //    eval(beta_lo) < goal, so this step would reassign beta_lo to
+    //    itself, and every later step likewise.
+    //  * mid == beta_lo == 0 cannot happen: beta_hi starts >= 1 and at
+    //    most halves per step, so within 96 steps it stays >= 2^-96 and
+    //    its midpoint with 0 is positive.
     for (int iter = 0; iter < 96; ++iter) {
-      beta = 0.5 * (beta_lo + beta_hi);
-      if (eval(beta) < goal) {
-        beta_lo = beta;
+      const double mid = 0.5 * (beta_lo + beta_hi);
+      if (mid == beta_lo || mid == beta_hi) break;
+      if (eval(mid) < goal) {
+        beta_lo = mid;
       } else {
-        beta_hi = beta;
+        beta_hi = mid;
       }
     }
     beta = beta_hi;

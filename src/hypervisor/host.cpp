@@ -8,57 +8,49 @@ namespace deflate::hv {
 Host::Host(std::uint64_t id, res::ResourceVector capacity)
     : id_(id), capacity_(capacity) {}
 
+std::size_t Host::slot_of(std::uint64_t vm_id) const noexcept {
+  return static_cast<std::size_t>(
+      std::find(ids_.begin(), ids_.end(), vm_id) - ids_.begin());
+}
+
 Vm& Host::add_vm(VmSpec spec) {
   const std::uint64_t vm_id = spec.id;
-  auto [it, inserted] = vms_.emplace(vm_id, std::make_unique<Vm>(std::move(spec)));
-  if (!inserted) {
+  if (slot_of(vm_id) != ids_.size()) {
     throw std::invalid_argument("Host::add_vm: duplicate VM id");
   }
-  order_.push_back(vm_id);
-  return *it->second;
+  vms_.push_back(std::make_unique<Vm>(std::move(spec)));
+  ids_.push_back(vm_id);
+  return *vms_.back();
 }
 
 bool Host::remove_vm(std::uint64_t vm_id) {
-  const auto it = vms_.find(vm_id);
-  if (it == vms_.end()) return false;
-  vms_.erase(it);
-  order_.erase(std::remove(order_.begin(), order_.end(), vm_id), order_.end());
+  const std::size_t slot = slot_of(vm_id);
+  if (slot == ids_.size()) return false;
+  const auto offset = static_cast<std::ptrdiff_t>(slot);
+  vms_.erase(vms_.begin() + offset);
+  ids_.erase(ids_.begin() + offset);
   return true;
 }
 
 Vm* Host::find_vm(std::uint64_t vm_id) noexcept {
-  const auto it = vms_.find(vm_id);
-  return it == vms_.end() ? nullptr : it->second.get();
+  const std::size_t slot = slot_of(vm_id);
+  return slot == ids_.size() ? nullptr : vms_[slot].get();
 }
 
 const Vm* Host::find_vm(std::uint64_t vm_id) const noexcept {
-  const auto it = vms_.find(vm_id);
-  return it == vms_.end() ? nullptr : it->second.get();
-}
-
-std::vector<Vm*> Host::vms() noexcept {
-  std::vector<Vm*> out;
-  out.reserve(order_.size());
-  for (const auto id : order_) out.push_back(vms_.at(id).get());
-  return out;
-}
-
-std::vector<const Vm*> Host::vms() const noexcept {
-  std::vector<const Vm*> out;
-  out.reserve(order_.size());
-  for (const auto id : order_) out.push_back(vms_.at(id).get());
-  return out;
+  const std::size_t slot = slot_of(vm_id);
+  return slot == ids_.size() ? nullptr : vms_[slot].get();
 }
 
 res::ResourceVector Host::committed() const noexcept {
   res::ResourceVector total;
-  for (const auto id : order_) total += vms_.at(id)->spec().vector();
+  for (const auto& vm : vms_) total += vm->spec().vector();
   return total;
 }
 
 res::ResourceVector Host::allocated() const noexcept {
   res::ResourceVector total;
-  for (const auto id : order_) total += vms_.at(id)->effective_allocation();
+  for (const auto& vm : vms_) total += vm->effective_allocation();
   return total;
 }
 
@@ -68,10 +60,9 @@ res::ResourceVector Host::available() const noexcept {
 
 res::ResourceVector Host::deflatable_headroom() const noexcept {
   res::ResourceVector total;
-  for (const auto id : order_) {
-    const Vm& vm = *vms_.at(id);
-    if (!vm.spec().deflatable) continue;
-    total += (vm.effective_allocation() - vm.allocation_floor()).clamped_nonneg();
+  for (const auto& vm : vms_) {
+    if (!vm->spec().deflatable) continue;
+    total += (vm->effective_allocation() - vm->allocation_floor()).clamped_nonneg();
   }
   return total;
 }

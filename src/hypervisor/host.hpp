@@ -5,7 +5,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <ranges>
 #include <vector>
 
 #include "hypervisor/vm.hpp"
@@ -29,10 +29,19 @@ class Host {
   [[nodiscard]] Vm* find_vm(std::uint64_t vm_id) noexcept;
   [[nodiscard]] const Vm* find_vm(std::uint64_t vm_id) const noexcept;
 
-  /// Resident VMs in arrival order (deterministic iteration for policies).
-  [[nodiscard]] std::vector<Vm*> vms() noexcept;
-  [[nodiscard]] std::vector<const Vm*> vms() const noexcept;
-  [[nodiscard]] std::size_t vm_count() const noexcept { return order_.size(); }
+  /// Resident VMs in arrival order (deterministic iteration for policies),
+  /// as a random-access view of `Vm*` over the host's own storage. The view
+  /// is invalidated by add_vm/remove_vm: a caller that adds or destroys VMs
+  /// while walking copies the pointers (or specs) first.
+  [[nodiscard]] auto vms() noexcept {
+    return std::views::transform(
+        vms_, [](const std::unique_ptr<Vm>& vm) { return vm.get(); });
+  }
+  [[nodiscard]] auto vms() const noexcept {
+    return std::views::transform(
+        vms_, [](const std::unique_ptr<Vm>& vm) -> const Vm* { return vm.get(); });
+  }
+  [[nodiscard]] std::size_t vm_count() const noexcept { return vms_.size(); }
 
   /// Sum of VM spec sizes (what customers were promised).
   [[nodiscard]] res::ResourceVector committed() const noexcept;
@@ -48,10 +57,16 @@ class Host {
   [[nodiscard]] double overcommit_ratio() const noexcept;
 
  private:
+  /// Index of `vm_id` in `ids_`/`vms_`, or vm_count() when not resident.
+  [[nodiscard]] std::size_t slot_of(std::uint64_t vm_id) const noexcept;
+
   std::uint64_t id_;
   res::ResourceVector capacity_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Vm>> vms_;
-  std::vector<std::uint64_t> order_;
+  // Residents in arrival order; ids_[i] == vms_[i]->spec().id. A server
+  // holds tens of VMs, so a linear id scan beats hashing, and every
+  // aggregate walks one contiguous vector.
+  std::vector<std::unique_ptr<Vm>> vms_;
+  std::vector<std::uint64_t> ids_;
 };
 
 }  // namespace deflate::hv

@@ -371,8 +371,10 @@ void TraceDrivenSimulator::apply_admission(
 }
 
 void TraceDrivenSimulator::on_vm_start(VmRuntime& vm) {
+  const hv::VmSpec spec = vm.record.to_spec();
+  vm.priority = spec.priority;
   cluster::AdmissionRequest request =
-      cluster::AdmissionRequest::from_spec(vm.record.to_spec(), now_);
+      cluster::AdmissionRequest::from_spec(spec, now_);
   // A VM admitted at (or after) its departure would never be removed:
   // clamp the deferral window strictly inside the record's lifetime, so
   // expiry always resolves before the (already ignored) VmEnd event.
@@ -407,7 +409,7 @@ void TraceDrivenSimulator::finalize(VmRuntime& vm, sim::SimTime at) {
   // --- revenue integrals ---
   revenue_.df_committed_core_hours += cores * hours;
   revenue_.df_priority_committed_core_hours +=
-      record.priority_level() * cores * hours;
+      vm.priority * cores * hours;
   double allocated_core_hours = 0.0;
   for (std::size_t k = 0; k < vm.alloc_timeline.size(); ++k) {
     const sim::SimTime seg_start = vm.alloc_timeline[k].first;

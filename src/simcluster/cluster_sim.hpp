@@ -261,6 +261,9 @@ class TraceDrivenSimulator {
  private:
   struct VmRuntime {
     trace::VmRecord record;
+    /// The spec priority set at arrival (the p95 CPU bucket for deflatable
+    /// VMs, 1.0 otherwise), so finalize need not re-derive the p95.
+    double priority = 1.0;
     bool running = false;
     bool preempted = false;
     bool rejected = false;

@@ -26,7 +26,7 @@ double UtilizationSeries::fraction_above(double threshold) const noexcept {
 double UtilizationSeries::percentile(double q) const {
   if (samples_.empty()) return 0.0;
   std::vector<double> values(samples_.begin(), samples_.end());
-  return util::quantile(values, q);
+  return util::quantile_in_place(values, q);
 }
 
 double UtilizationSeries::mean() const noexcept {

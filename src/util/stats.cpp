@@ -50,10 +50,27 @@ double quantile_sorted(std::span<const double> sorted, double q) {
   return sorted[idx] * (1.0 - frac) + sorted[idx + 1] * frac;
 }
 
+double quantile_in_place(std::span<double> values, double q) {
+  if (values.empty()) throw std::invalid_argument("quantile of empty range");
+  q = std::clamp(q, 0.0, 1.0);
+  const std::size_t n = values.size();
+  const double pos = q * static_cast<double>(n - 1);
+  const auto idx = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(idx);
+  // quantile_sorted interpolates between the order statistics idx and
+  // idx + 1. nth_element places the former at idx with everything at or
+  // above it behind, so the latter is the minimum of that upper part: the
+  // same two doubles, combined by the same expression, without a sort.
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(idx);
+  std::nth_element(values.begin(), nth, values.end());
+  if (idx + 1 >= n) return *nth;
+  const double next = *std::min_element(nth + 1, values.end());
+  return *nth * (1.0 - frac) + next * frac;
+}
+
 double quantile(std::span<const double> values, double q) {
   std::vector<double> copy(values.begin(), values.end());
-  std::sort(copy.begin(), copy.end());
-  return quantile_sorted(copy, q);
+  return quantile_in_place(copy, q);
 }
 
 BoxStats BoxStats::from(std::span<const double> values) {

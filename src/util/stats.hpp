@@ -37,7 +37,11 @@ class RunningStats {
 /// Linear-interpolated quantile of a *sorted* sequence, q in [0, 1].
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
 
-/// Convenience: copies, sorts, and evaluates one quantile.
+/// quantile_sorted's value for unsorted `values`, found by selection
+/// (O(n)) instead of a sort; bit-equal to sorting first. Reorders `values`.
+[[nodiscard]] double quantile_in_place(std::span<double> values, double q);
+
+/// Convenience: copies `values` and evaluates one quantile by selection.
 [[nodiscard]] double quantile(std::span<const double> values, double q);
 
 /// Five-number summary for box plots (Figs 5-12 are box plots in the paper).

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -334,3 +338,138 @@ INSTANTIATE_TEST_SUITE_P(
                       PolicyCase{core::PolicyKind::PriorityNoMin, 6},
                       PolicyCase{core::PolicyKind::Deterministic, 7},
                       PolicyCase{core::PolicyKind::Deterministic, 8}));
+
+// --- early-exit bisection vs the fixed 96-step solver --------------------------
+
+namespace {
+
+/// The proportional-family solver as it was before the bisection learned to
+/// stop early: always exactly 96 halvings. The oracle for bit-equality.
+core::PolicyResult fixed_step_solve(const std::vector<core::VmShare>& vms,
+                                    const std::vector<double>& weights,
+                                    const std::vector<double>& minimums,
+                                    double amount) {
+  constexpr double kEps = 1e-9;
+  const std::size_t n = vms.size();
+  core::PolicyResult result;
+  result.targets.resize(n);
+  std::vector<double> lo(n), hi(n);
+  double current_total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double floor_i = std::min(minimums[i], vms[i].max_alloc);
+    if (amount >= 0.0) {
+      lo[i] = std::min(vms[i].current, floor_i);
+      hi[i] = vms[i].current;
+    } else {
+      lo[i] = vms[i].current;
+      hi[i] = std::max(vms[i].current, vms[i].max_alloc);
+    }
+    current_total += vms[i].current;
+  }
+  const double lo_total = std::accumulate(lo.begin(), lo.end(), 0.0);
+  const double hi_total = std::accumulate(hi.begin(), hi.end(), 0.0);
+  double goal = current_total - amount;
+  const bool feasible = goal >= lo_total - kEps;
+  goal = std::clamp(goal, lo_total, hi_total);
+  const double weight_total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  auto eval = [&](double beta) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      total += std::clamp(minimums[i] + beta * weights[i], lo[i], hi[i]);
+    }
+    return total;
+  };
+  double beta = 0.0;
+  if (weight_total > kEps) {
+    double beta_hi = 1.0;
+    while (eval(beta_hi) < goal - kEps && beta_hi < 1e12) beta_hi *= 2.0;
+    double beta_lo = 0.0;
+    for (int iter = 0; iter < 96; ++iter) {
+      beta = 0.5 * (beta_lo + beta_hi);
+      if (eval(beta) < goal) {
+        beta_lo = beta;
+      } else {
+        beta_hi = beta;
+      }
+    }
+    beta = beta_hi;
+  }
+  double reclaimed = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = weight_total > kEps
+                         ? std::clamp(minimums[i] + beta * weights[i], lo[i], hi[i])
+                         : lo[i];
+    result.targets[i] = t;
+    reclaimed += vms[i].current - t;
+  }
+  result.reclaimed = reclaimed;
+  result.success = amount <= 0.0 || (feasible && reclaimed >= amount - 1e-6);
+  return result;
+}
+
+/// ProportionalPolicy / PriorityWeightedPolicy inputs to the solver.
+core::PolicyResult oracle_reclaim(core::PolicyKind kind,
+                                  const std::vector<core::VmShare>& vms,
+                                  double amount) {
+  std::vector<double> weights(vms.size()), minimums(vms.size());
+  for (std::size_t i = 0; i < vms.size(); ++i) {
+    if (kind == core::PolicyKind::Proportional) {
+      minimums[i] = vms[i].min_alloc;
+      weights[i] = std::max(0.0, vms[i].max_alloc - vms[i].min_alloc);
+      continue;
+    }
+    const double pi = std::clamp(vms[i].priority, 0.0, 1.0);
+    minimums[i] = kind == core::PolicyKind::Priority
+                      ? std::max(vms[i].min_alloc, pi * vms[i].max_alloc)
+                      : vms[i].min_alloc;
+    weights[i] = pi * std::max(0.0, vms[i].max_alloc - minimums[i]);
+  }
+  return fixed_step_solve(vms, weights, minimums, amount);
+}
+
+}  // namespace
+
+TEST(PolicyOracle, EarlyExitBisectionIsBitEqualToFixedSteps) {
+  using core::PolicyKind;
+  deflate::util::Rng rng(4242);
+  for (const PolicyKind kind :
+       {PolicyKind::Proportional, PolicyKind::Priority, PolicyKind::PriorityNoMin}) {
+    const auto policy = core::make_policy(kind);
+    for (int trial = 0; trial < 600; ++trial) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 16));
+      const int shape = trial % 6;
+      std::vector<core::VmShare> vms;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double max = rng.uniform(0.5, 64.0);
+        double min = rng.uniform(0.0, 0.3) * max;
+        double current = rng.uniform(min, max);
+        double pi = rng.uniform(0.05, 1.0);
+        if (shape == 1) current = min;         // all clamped at the floor
+        if (shape == 2) current = max;         // all at M_i
+        if (shape == 3) pi = 0.0;              // zero weights (priority)
+        if (shape == 4 && i % 2 == 0) min = max;  // zero weights (proportional)
+        vms.push_back(share(i, max, std::max(current, std::min(min, max)), pi, min));
+      }
+      const double reclaimable = policy->reclaimable(vms);
+      double amount = 0.0;
+      switch (trial % 4) {
+        case 0: amount = rng.uniform(0.0, reclaimable); break;         // deflate
+        case 1: amount = reclaimable + rng.uniform(0.1, 10.0); break;  // infeasible
+        case 2: amount = -rng.uniform(0.0, 40.0); break;               // reinflate
+        default: amount = rng.uniform(-5.0, reclaimable * 1.5 + 1.0); break;
+      }
+      const core::PolicyResult got = policy->reclaim(vms, amount);
+      const core::PolicyResult want = oracle_reclaim(kind, vms, amount);
+      ASSERT_EQ(got.targets.size(), want.targets.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.targets[i]),
+                  std::bit_cast<std::uint64_t>(want.targets[i]))
+            << policy->name() << " trial=" << trial << " vm=" << i;
+      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.reclaimed),
+                std::bit_cast<std::uint64_t>(want.reclaimed))
+          << policy->name() << " trial=" << trial;
+      ASSERT_EQ(got.success, want.success) << policy->name() << " trial=" << trial;
+    }
+  }
+}

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "trace/series.hpp"
 #include "util/rng.hpp"
 
 namespace du = deflate::util;
@@ -170,3 +174,69 @@ TEST_P(BoxStatsProperty, MatchesQuantiles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BoxStatsProperty, ::testing::Range(1, 25));
+
+// --- selection quantile vs a sort-then-interpolate oracle --------------------
+
+namespace {
+
+/// The sort-based quantile the selection kernel replaces: copy, sort,
+/// interpolate between the order statistics at floor(pos) and floor(pos)+1.
+double sorted_quantile_oracle(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto idx = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(idx);
+  if (idx + 1 >= values.size()) return values.back();
+  return values[idx] * (1.0 - frac) + values[idx + 1] * frac;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+}  // namespace
+
+TEST(Quantile, SelectionIsBitEqualToSortOracle) {
+  du::Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+    // Every third trial draws from a handful of levels: heavy duplicates,
+    // the shape of a quantized utilization series.
+    const bool duplicates = trial % 3 == 0;
+    const auto levels = rng.uniform_int(1, 6);
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = duplicates ? 0.125 * static_cast<double>(rng.uniform_int(0, levels))
+                     : rng.lognormal(0.0, 1.0);
+    }
+    for (const double q : {0.0, 0.25, 0.5, 0.95, 1.0, rng.u01()}) {
+      const double expected = sorted_quantile_oracle(values, q);
+      ASSERT_EQ(bits(du::quantile(values, q)), bits(expected))
+          << "n=" << n << " q=" << q << " trial=" << trial;
+      std::vector<double> reordered = values;
+      ASSERT_EQ(bits(du::quantile_in_place(reordered, q)), bits(expected));
+    }
+  }
+}
+
+TEST(Quantile, SeriesPercentileIsBitEqualToSortOracle) {
+  namespace dt = deflate::trace;
+  du::Rng rng(77);
+  EXPECT_EQ(dt::UtilizationSeries{}.percentile(0.95), 0.0);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+    std::vector<float> samples(n);
+    for (float& s : samples) {
+      // Coarse levels on even trials (duplicates), continuous otherwise.
+      s = trial % 2 == 0
+              ? static_cast<float>(rng.uniform_int(0, 20)) / 20.0F
+              : static_cast<float>(rng.u01());
+    }
+    const dt::UtilizationSeries series(samples);
+    const std::vector<double> widened(samples.begin(), samples.end());
+    for (const double q : {0.0, 0.25, 0.5, 0.95, 1.0, rng.u01()}) {
+      ASSERT_EQ(bits(series.percentile(q)),
+                bits(sorted_quantile_oracle(widened, q)))
+          << "n=" << n << " q=" << q;
+    }
+  }
+}

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "hypervisor/host.hpp"
 #include "hypervisor/vm.hpp"
+#include "util/rng.hpp"
 
 namespace hv = deflate::hv;
 namespace res = deflate::res;
@@ -128,6 +133,100 @@ TEST(Host, VmsIterateInArrivalOrder) {
   EXPECT_EQ(vms[0]->spec().id, 5U);
   EXPECT_EQ(vms[1]->spec().id, 2U);
   EXPECT_EQ(vms[2]->spec().id, 9U);
+}
+
+namespace {
+
+std::vector<std::uint64_t> resident_ids(const hv::Host& host) {
+  std::vector<std::uint64_t> ids;
+  for (const hv::Vm* vm : host.vms()) ids.push_back(vm->spec().id);
+  return ids;
+}
+
+}  // namespace
+
+TEST(Host, RemoveFromMiddleKeepsArrivalOrderAndLookups) {
+  hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
+  for (const std::uint64_t id : {5U, 2U, 9U, 4U}) host.add_vm(make_spec(id));
+  EXPECT_TRUE(host.remove_vm(2));
+  EXPECT_EQ(resident_ids(host), (std::vector<std::uint64_t>{5, 9, 4}));
+  for (const std::uint64_t id : {5U, 9U, 4U}) {
+    ASSERT_NE(host.find_vm(id), nullptr);
+    EXPECT_EQ(host.find_vm(id)->spec().id, id);
+  }
+  EXPECT_EQ(host.find_vm(2), nullptr);
+
+  // A removed id can come back; it re-arrives at the end.
+  host.add_vm(make_spec(2));
+  EXPECT_EQ(resident_ids(host), (std::vector<std::uint64_t>{5, 9, 4, 2}));
+  // A live id still cannot be added twice, and the failed add changes nothing.
+  EXPECT_THROW(host.add_vm(make_spec(9)), std::invalid_argument);
+  EXPECT_EQ(resident_ids(host), (std::vector<std::uint64_t>{5, 9, 4, 2}));
+  EXPECT_TRUE(host.remove_vm(5));
+  EXPECT_EQ(resident_ids(host), (std::vector<std::uint64_t>{9, 4, 2}));
+  EXPECT_EQ(host.vm_count(), 3U);
+}
+
+TEST(Host, AddVmReferenceStaysValidAsResidentsChange) {
+  hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
+  hv::Vm& first = host.add_vm(make_spec(1));
+  for (std::uint64_t id = 2; id < 64; ++id) host.add_vm(make_spec(id, 1, 512.0));
+  for (std::uint64_t id = 2; id < 32; ++id) host.remove_vm(id);
+  EXPECT_EQ(host.find_vm(1), &first);
+  EXPECT_EQ(first.spec().id, 1U);
+}
+
+// The aggregates walk the host's own storage; they must equal a naive sum
+// over the residents in arrival order, bit for bit, through random adds,
+// removals and deflations.
+TEST(Host, AggregatesBitEqualToNaiveArrivalOrderSum) {
+  deflate::util::Rng rng(11);
+  hv::Host host(0, {64.0, 262144.0, 4000.0, 40000.0});
+  std::vector<std::uint64_t> arrival;  // the test's own residency record
+  std::uint64_t next_id = 1;
+  const auto bit_equal = [](const res::ResourceVector& a,
+                            const res::ResourceVector& b) {
+    for (const res::Resource r : res::all_resources) {
+      if (std::bit_cast<std::uint64_t>(a[r]) != std::bit_cast<std::uint64_t>(b[r])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (int step = 0; step < 400; ++step) {
+    if (arrival.empty() || rng.bernoulli(0.6)) {
+      auto spec = make_spec(next_id, static_cast<int>(rng.uniform_int(1, 8)),
+                            rng.uniform(512.0, 16384.0), rng.bernoulli(0.5),
+                            rng.uniform(0.1, 1.0));
+      spec.disk_bw_mbps = rng.uniform(1.0, 200.0);
+      spec.min_fraction = rng.uniform(0.0, 0.5);
+      hv::Vm& vm = host.add_vm(spec);
+      vm.set_cpu_quota(rng.uniform(0.0, 8.0));
+      vm.set_memory_limit(rng.uniform(256.0, 16384.0));
+      arrival.push_back(next_id++);
+    } else {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(arrival.size()) - 1));
+      ASSERT_TRUE(host.remove_vm(arrival[pos]));
+      arrival.erase(arrival.begin() + static_cast<std::ptrdiff_t>(pos));
+    }
+    ASSERT_EQ(resident_ids(host), arrival);
+
+    res::ResourceVector committed, allocated, headroom;
+    for (const std::uint64_t id : arrival) {
+      const hv::Vm& vm = *host.find_vm(id);
+      committed += vm.spec().vector();
+      allocated += vm.effective_allocation();
+      if (vm.spec().deflatable) {
+        headroom += (vm.effective_allocation() - vm.allocation_floor()).clamped_nonneg();
+      }
+    }
+    ASSERT_TRUE(bit_equal(host.committed(), committed)) << "step " << step;
+    ASSERT_TRUE(bit_equal(host.allocated(), allocated)) << "step " << step;
+    ASSERT_TRUE(bit_equal(host.available(),
+                          (host.capacity() - allocated).clamped_nonneg()));
+    ASSERT_TRUE(bit_equal(host.deflatable_headroom(), headroom)) << "step " << step;
+  }
 }
 
 TEST(Host, CommittedAllocatedAvailable) {
