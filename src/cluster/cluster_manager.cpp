@@ -22,12 +22,6 @@ ClusterManager::ClusterManager(ClusterConfig config)
                       : ClusterPartitions::single_pool(config_.server_count)) {
   std::shared_ptr<mech::DeflationMechanism> mechanism =
       mech::make_mechanism(config_.mechanism);
-  if (config_.scan_pool != nullptr) {
-    pool_ = config_.scan_pool;
-  } else if (config_.worker_threads > 1) {
-    owned_pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
-    pool_ = owned_pool_.get();
-  }
   nodes_.reserve(config_.server_count);
   view_dirty_.assign(config_.server_count, 0);
   dirty_queue_.reserve(config_.server_count);
@@ -49,24 +43,9 @@ void ClusterManager::mark_view_dirty(std::size_t server) {
 
 void ClusterManager::flush_views() {
   DEFLATE_PROFILE_SCOPE("cluster.flush_views");
-  // Each queued server touches only its own table row (the queue is
-  // deduped), so the drain parallelizes without synchronization and the
-  // resulting columns are identical for any thread count.
-  constexpr std::size_t kMinParallelDrain = 256;
-  if (pool_ != nullptr && dirty_queue_.size() >= kMinParallelDrain) {
-    util::parallel_for(pool_, dirty_queue_.size(),
-                       [this](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           const std::size_t server = dirty_queue_[i];
-                           view_dirty_[server] = 0;
-                           refresh_view(server);
-                         }
-                       });
-  } else {
-    for (const std::size_t server : dirty_queue_) {
-      view_dirty_[server] = 0;
-      refresh_view(server);
-    }
+  for (const std::size_t server : dirty_queue_) {
+    view_dirty_[server] = 0;
+    refresh_view(server);
   }
   dirty_queue_.clear();
 }
@@ -267,12 +246,12 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
     // rank servers by their deflatable headroom.
     if (const auto server = scan_pick_host(
             *scorer_, demand, scan_, pool_candidates,
-            ScanFeasibility::FreeCapacity, /*under_pressure=*/false, pool_)) {
+            ScanFeasibility::FreeCapacity, /*under_pressure=*/false)) {
       return server;
     }
     return scan_pick_host(*scorer_, demand, scan_, pool_candidates,
                           ScanFeasibility::WithDeflation,
-                          /*under_pressure=*/true, pool_);
+                          /*under_pressure=*/true);
   };
 
   if (const auto server = try_fraction(1.0)) {

@@ -22,7 +22,6 @@
 #include "cluster/placement.hpp"
 #include "core/local_controller.hpp"
 #include "core/policy.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deflate::cluster {
 
@@ -50,13 +49,6 @@ struct ClusterConfig {
   std::vector<double> pool_weights{0.5, 0.125, 0.125, 0.125, 0.125};
   /// Granularity of deflated-launch attempts (fraction steps).
   double deflated_launch_step = 0.05;
-  /// Worker threads for the placement scan and dirty-view drains. 0 or 1 =
-  /// serial. Ignored when `scan_pool` is set. Thread count never changes
-  /// decisions — the scan reduction is order-independent — only speed.
-  std::size_t worker_threads = 0;
-  /// Non-owning pool override: the sharded scheduler points every shard at
-  /// one shared pool instead of letting each shard spawn its own workers.
-  util::ThreadPool* scan_pool = nullptr;
 };
 
 struct PlacementResult {
@@ -324,8 +316,6 @@ class ClusterManager : public ClusterManagerBase {
   /// SoA per-server scan state: the placement loops and deflation sweeps
   /// read these dense columns instead of chasing per-node structs.
   HostScanTable scan_;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_ = nullptr;  ///< scan/drain pool (nullptr = serial)
   std::vector<std::uint8_t> view_dirty_;   ///< per-server dirty flag
   std::vector<std::size_t> dirty_queue_;   ///< servers awaiting a rescan
   ClusterStats stats_;

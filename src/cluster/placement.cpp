@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 namespace deflate::cluster {
 
@@ -80,8 +79,7 @@ static_assert(res::kNumResources == 4,
               "the scan kernels spell out one column per resource");
 
 /// The scan's strict total order on (key, server id): higher key, then
-/// lowest id. It is the serial preference, so merging chunk winners under
-/// it in any order yields the serial sweep's answer.
+/// lowest id.
 bool ranks_before(double key, std::size_t host, const ScanWinner& best) {
   return !best.valid || key > best.key ||
          (key == best.key && host < best.host);
@@ -90,17 +88,14 @@ bool ranks_before(double key, std::size_t host, const ScanWinner& best) {
 /// Negatives to zero, as ResourceVector::clamped_nonneg() does it.
 double clamp0(double v) { return v < 0.0 ? 0.0 : v; }
 
-/// The one selection loop: every scorer, and both the serial and the
-/// chunked scans, run it. It owns the eligibility mask, the feasibility
-/// test (ResourceVector::all_leq's `>` with 1e-9) and the total order;
-/// `key_of(server)` scores one feasible server. Column pointers and the
-/// demand live in scalar locals: loops over small per-resource arrays
-/// compile to stack round trips.
+/// The one selection loop: every scorer's scan runs it. It owns the
+/// eligibility mask, the feasibility test (ResourceVector::all_leq's `>`
+/// with 1e-9) and the total order; `key_of(server)` scores one feasible
+/// server. Column pointers and the demand live in scalar locals: loops
+/// over small per-resource arrays compile to stack round trips.
 template <bool kWithDeflation, class KeyOf>
-ScanWinner select_loop(const ScanRequest& request, std::size_t lo,
-                       std::size_t hi, const KeyOf& key_of) {
+ScanWinner select_loop(const ScanRequest& request, const KeyOf& key_of) {
   constexpr double kEps = 1e-9;
-  const std::size_t* candidates = request.candidates.data();
   const std::uint8_t* eligible = request.table.eligible_column();
   const ResourceColumns av = request.table.available_columns();
   const ResourceColumns df = request.table.deflatable_columns();
@@ -110,8 +105,7 @@ ScanWinner select_loop(const ScanRequest& request, std::size_t lo,
   const double d3 = request.demand.net_bw();
 
   ScanWinner best;
-  for (std::size_t c = lo; c < hi; ++c) {
-    const std::size_t s = candidates[c];
+  for (const std::size_t s : request.candidates) {
     if (!eligible[s]) continue;
     if constexpr (kWithDeflation) {
       if (clamp0(d0 - av.cpu[s]) > df.cpu[s] + kEps ||
@@ -133,11 +127,10 @@ ScanWinner select_loop(const ScanRequest& request, std::size_t lo,
 }
 
 template <class KeyOf>
-ScanWinner select_best(const ScanRequest& request, std::size_t lo,
-                       std::size_t hi, const KeyOf& key_of) {
+ScanWinner select_best(const ScanRequest& request, const KeyOf& key_of) {
   return request.feasibility == ScanFeasibility::WithDeflation
-             ? select_loop<true>(request, lo, hi, key_of)
-             : select_loop<false>(request, lo, hi, key_of);
+             ? select_loop<true>(request, key_of)
+             : select_loop<false>(request, key_of);
 }
 
 // Column scorers: each computes its builtin's per-host score from the
@@ -232,14 +225,13 @@ struct LeftoverKey {
 
 }  // namespace
 
-ScanWinner PlacementScorer::scan_range(const ScanRequest& request,
-                                       std::size_t lo, std::size_t hi) const {
+ScanWinner PlacementScorer::scan(const ScanRequest& request) const {
   const Order order = this->order();
   if (order == Order::ById) {
-    return select_best(request, lo, hi, [](std::size_t) { return 0.0; });
+    return select_best(request, [](std::size_t) { return 0.0; });
   }
   const double sign = order == Order::LowerBetter ? -1.0 : 1.0;
-  return select_best(request, lo, hi, [&](std::size_t server) {
+  return select_best(request, [&](std::size_t server) {
     return sign * score(request.demand, request.table.view_of(server),
                         request.under_pressure);
   });
@@ -266,17 +258,15 @@ class FitnessScorer final : public PlacementScorer {
     return under_pressure ? pressure_fitness(demand, host)
                           : fitness(demand, host);
   }
-  [[nodiscard]] ScanWinner scan_range(const ScanRequest& request,
-                                      std::size_t lo,
-                                      std::size_t hi) const override {
+  [[nodiscard]] ScanWinner scan(const ScanRequest& request) const override {
     if (request.under_pressure) {
-      return select_best(request, lo, hi, ProjectionKey(request));
+      return select_best(request, ProjectionKey(request));
     }
-    return select_best(request, lo, hi, CosineKey(request));
+    return select_best(request, CosineKey(request));
   }
 };
 
-/// Lowest feasible id: the default scan_range keys every server 0.0.
+/// Lowest feasible id: the default scan keys every server 0.0.
 class FirstFitScorer final : public PlacementScorer {
  public:
   [[nodiscard]] Order order() const noexcept override { return Order::ById; }
@@ -295,10 +285,8 @@ class BestFitScorer final : public PlacementScorer {
                              const HostView& host, bool) const override {
     return leftover_score(demand, host);
   }
-  [[nodiscard]] ScanWinner scan_range(const ScanRequest& request,
-                                      std::size_t lo,
-                                      std::size_t hi) const override {
-    return select_best(request, lo, hi, LeftoverKey(request, -1.0));
+  [[nodiscard]] ScanWinner scan(const ScanRequest& request) const override {
+    return select_best(request, LeftoverKey(request, -1.0));
   }
 };
 
@@ -311,10 +299,8 @@ class WorstFitScorer final : public PlacementScorer {
                              const HostView& host, bool) const override {
     return leftover_score(demand, host);
   }
-  [[nodiscard]] ScanWinner scan_range(const ScanRequest& request,
-                                      std::size_t lo,
-                                      std::size_t hi) const override {
-    return select_best(request, lo, hi, LeftoverKey(request, 1.0));
+  [[nodiscard]] ScanWinner scan(const ScanRequest& request) const override {
+    return select_best(request, LeftoverKey(request, 1.0));
   }
 };
 
@@ -440,38 +426,16 @@ HostView HostScanTable::view_of(std::size_t i) const noexcept {
   return view;
 }
 
-// --- deterministic (thread-count independent) strategy scan -----------------
+// --- strategy scan ----------------------------------------------------------
 
 std::optional<std::size_t> scan_pick_host(const PlacementScorer& scorer,
                                           const res::ResourceVector& demand,
                                           const HostScanTable& table,
                                           std::span<const std::size_t> candidates,
                                           ScanFeasibility feasibility,
-                                          bool under_pressure,
-                                          util::ThreadPool* pool) {
-  const ScanRequest request{demand, table, candidates, feasibility,
-                            under_pressure};
-  // Below this size the chunk dispatch costs more than the scan; the cutoff
-  // cannot change results (serial and chunked agree bit-for-bit), only
-  // where the work runs.
-  constexpr std::size_t kMinParallelScan = 1024;
-  ScanWinner best;
-  if (pool == nullptr || pool->size() <= 1 ||
-      candidates.size() < kMinParallelScan) {
-    best = scorer.scan_range(request, 0, candidates.size());
-  } else {
-    std::mutex merge_mutex;
-    util::parallel_for(pool, candidates.size(),
-                       [&](std::size_t begin, std::size_t end) {
-                         const ScanWinner local =
-                             scorer.scan_range(request, begin, end);
-                         if (!local.valid) return;
-                         std::scoped_lock lock(merge_mutex);
-                         if (ranks_before(local.key, local.host, best)) {
-                           best = local;
-                         }
-                       });
-  }
+                                          bool under_pressure) {
+  const ScanWinner best = scorer.scan(
+      {demand, table, candidates, feasibility, under_pressure});
   if (!best.valid) return std::nullopt;
   return best.host;
 }

@@ -19,7 +19,6 @@
 
 #include "policy/registry.hpp"
 #include "resources/resource_vector.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deflate::cluster {
 
@@ -76,7 +75,7 @@ struct ScanRequest {
   bool under_pressure;
 };
 
-/// Best server of a scanned range. `key` is the score oriented so that
+/// Best server of a scan. `key` is the score oriented so that
 /// higher always wins: LowerBetter scores are negated (exact in IEEE
 /// arithmetic) and ById scorers key every server 0.0.
 struct ScanWinner {
@@ -101,8 +100,7 @@ class PlacementScorer {
 
   /// Whether the span-path loop breaks score ties by lower host id.
   /// Historically only Fitness did (BestFit/WorstFit keep the first-seen
-  /// winner); the SoA scan path *always* ties by id regardless — that
-  /// total order is what makes the chunked scan thread-count invariant.
+  /// winner); the SoA scan *always* ties by lowest id regardless.
   [[nodiscard]] virtual bool prefer_lower_id_on_tie() const noexcept {
     return false;
   }
@@ -112,14 +110,12 @@ class PlacementScorer {
                                      const HostView& host,
                                      bool under_pressure) const = 0;
 
-  /// Winner among `request.candidates[lo, hi)`: one virtual call per scan
-  /// (or per chunk), running the one selection loop of placement.cpp.
-  /// The default scores each candidate through `score(view_of(i))`; the
-  /// builtins override it to score straight off the table's columns, bit
-  /// for bit the same as their `score`.
-  [[nodiscard]] virtual ScanWinner scan_range(const ScanRequest& request,
-                                              std::size_t lo,
-                                              std::size_t hi) const;
+  /// Winner among `request.candidates`: one virtual call per scan,
+  /// running the one selection loop of placement.cpp. The default scores
+  /// each candidate through `score(view_of(i))`; the builtins override it
+  /// to score straight off the table's columns, bit for bit the same as
+  /// their `score`.
+  [[nodiscard]] virtual ScanWinner scan(const ScanRequest& request) const;
 };
 
 /// Registry surface for placement scoring policies.
@@ -160,10 +156,10 @@ struct ResourceColumns {
 /// SoA (structure-of-arrays) per-server scan storage: one dense column per
 /// field, indexed by server id. Placement computes on these columns: the
 /// scan reads a handful of sequential double streams through raw column
-/// pointers, never a per-server struct, so the hot loop is cache-linear and
-/// trivially chunkable across worker threads. `set_row` is the only writer
-/// of a server's state, and it derives the availability vector A_j and its
-/// norm there, so the derived columns cannot go stale.
+/// pointers, never a per-server struct, so the hot loop is cache-linear.
+/// `set_row` is the only writer of a server's state, and it derives the
+/// availability vector A_j and its norm there, so the derived columns
+/// cannot go stale.
 class HostScanTable {
  public:
   /// Zeroed rows, all servers active and eligible; `capacity` is
@@ -231,18 +227,10 @@ class HostScanTable {
 /// servers are skipped). Returns the winning *server id*: the feasible
 /// candidate with the best per-host score (same feasibility epsilons, same
 /// scores as pick_host), ties broken by lowest host id whatever the
-/// scorer's span-path tie preference. Serially it is one
-/// `scorer.scan_range` call over all candidates.
-///
-/// When `pool` is non-null and the candidate set is large, the scan is
-/// chunked across the pool's workers, one `scan_range` call per chunk. The
-/// reduction merges chunk winners under the same total order (score, then
-/// lowest id), so the result is bit-identical for any thread count —
-/// including zero (serial).
+/// scorer's span-path tie preference. It is one `scorer.scan` call.
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
     const PlacementScorer& scorer, const res::ResourceVector& demand,
     const HostScanTable& table, std::span<const std::size_t> candidates,
-    ScanFeasibility feasibility, bool under_pressure,
-    util::ThreadPool* pool = nullptr);
+    ScanFeasibility feasibility, bool under_pressure);
 
 }  // namespace deflate::cluster

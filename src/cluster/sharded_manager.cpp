@@ -103,9 +103,6 @@ std::size_t clamp_shard_count(const ShardedClusterConfig& config) {
 std::unique_ptr<ClusterManagerBase> make_cluster_manager(
     ShardedClusterConfig config) {
   if (config.shard_count <= 1) {
-    // The degenerate flat fleet still gets the worker pool: its placement
-    // scans chunk across the same thread budget.
-    config.cluster.worker_threads = config.worker_threads;
     return std::make_unique<ClusterManager>(std::move(config.cluster));
   }
   return std::make_unique<ShardedClusterManager>(std::move(config));
@@ -117,9 +114,6 @@ ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
       routing_rng_(util::Rng::keyed(config_.routing_seed, /*stream=*/0x5a4d)),
       selector_(make_shard_selector(config_.selection)) {
   const std::size_t shard_count = clamp_shard_count(config_);
-  if (config_.worker_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
-  }
   shards_.resize(shard_count);
   dirty_queue_.reserve(shard_count);
 
@@ -136,10 +130,6 @@ ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
 
     ClusterConfig shard_config = config_.cluster;
     shard_config.server_count = shard.size;
-    // All shards share one pool (a pool per shard would oversubscribe the
-    // machine shard_count-fold).
-    shard_config.worker_threads = 0;
-    shard_config.scan_pool = pool_.get();
     shard.manager = std::make_unique<ClusterManager>(std::move(shard_config));
     refresh_shard(shard);
 
@@ -171,7 +161,6 @@ ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
 }
 
 void ShardedClusterManager::mark_dirty(std::size_t s) {
-  std::scoped_lock lock(dirty_mutex_);
   if (shards_[s].dirty) return;
   shards_[s].dirty = true;
   dirty_queue_.push_back(s);
@@ -184,30 +173,11 @@ void ShardedClusterManager::refresh_shard(Shard& shard) {
 
 void ShardedClusterManager::flush_views() {
   DEFLATE_PROFILE_SCOPE("sharded.flush_views");
-  // Drain to a fixpoint: snapshot the dirty set under the lock, clear the
-  // flags, refresh the snapshot concurrently, then re-check — a shard
-  // dirtied during the pass (its flag re-set by mark_dirty) lands in the
-  // next pass instead of being silently dropped with the cleared queue.
-  std::vector<std::size_t> snapshot;
-  for (;;) {
-    {
-      std::scoped_lock lock(dirty_mutex_);
-      if (dirty_queue_.empty()) return;
-      snapshot.swap(dirty_queue_);
-      dirty_queue_.clear();
-      for (const std::size_t s : snapshot) shards_[s].dirty = false;
-    }
-    // Each refresh touches only its own shard's state, so the pass
-    // parallelizes cleanly and the aggregates are thread-count
-    // independent.
-    util::parallel_for(pool_.get(), snapshot.size(),
-                       [this, &snapshot](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           refresh_shard(shards_[snapshot[i]]);
-                         }
-                       });
-    snapshot.clear();
+  for (const std::size_t s : dirty_queue_) {
+    shards_[s].dirty = false;
+    refresh_shard(shards_[s]);
   }
+  dirty_queue_.clear();
 }
 
 double ShardedClusterManager::shard_score(const Shard& shard,

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,7 +34,6 @@
 #include "cluster/cluster_manager.hpp"
 #include "policy/registry.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deflate::cluster {
 
@@ -102,13 +100,6 @@ struct ShardedClusterConfig {
   /// Seed of the (deterministic) routing stream used by power-of-two
   /// sampling; independent of the market / trace seeds.
   std::uint64_t routing_seed = 42;
-  /// Size of the worker pool shared by every shard: dirty shards refresh
-  /// concurrently at the flush barrier and the in-shard placement scans
-  /// chunk across the same workers. 0 or 1 = fully serial. Results are
-  /// identical for every value — all reductions merge under a fixed total
-  /// order — so this knob (like DEFLATE_THREADS, which the simulator feeds
-  /// into it) only changes wall-clock time.
-  std::size_t worker_threads = 0;
 };
 
 /// Builds the manager a config calls for: the flat ClusterManager when
@@ -170,11 +161,7 @@ class ShardedClusterManager : public ClusterManagerBase {
 
   /// Tick-boundary barrier: recomputes the cached aggregate of every shard
   /// marked dirty since the last flush (and flushes the shards' own
-  /// per-server views), draining the dirty set *to a fixpoint* — shards
-  /// dirtied while a refresh pass runs are picked up by another pass
-  /// before the barrier completes. Dirty shards refresh concurrently on
-  /// the worker pool; each shard touches only its own state, so the
-  /// refreshed aggregates are identical for any thread count.
+  /// per-server views), in the order the shards were first dirtied.
   void flush_views() override;
 
   /// Re-resolves the shard selector from the registry by name. Only call
@@ -203,14 +190,12 @@ class ShardedClusterManager : public ClusterManagerBase {
     bool dirty = false;
   };
 
-  /// Thread-safe (guarded by dirty_mutex_): pool workers may mark shards
-  /// dirty while a flush pass is in flight; the fixpoint loop picks the
-  /// late arrivals up before the barrier returns.
+  /// Queues shard `s` for an exact refresh at the next flush (dedups
+  /// repeated mutations between flushes).
   void mark_dirty(std::size_t s);
-  /// Recomputes the cached aggregate. Does NOT clear the dirty flag — the
-  /// flush barrier owns flag lifecycle (clearing inside the refresh raced
-  /// with concurrent mark_dirty and lost updates); direct callers outside
-  /// the barrier at worst schedule one redundant exact refresh.
+  /// Recomputes the cached aggregate. Leaves the dirty flag alone: only
+  /// flush_views clears it, so revoke/restore, which refresh a shard
+  /// directly, at worst leave one redundant refresh queued.
   void refresh_shard(Shard& shard);
   /// Copies of the demand the shard's cached aggregate could hold; the
   /// routing score (larger = more headroom).
@@ -230,13 +215,8 @@ class ShardedClusterManager : public ClusterManagerBase {
 
   ShardedClusterConfig config_;
   std::size_t total_servers_ = 0;
-  /// Worker pool shared by every shard (scan_pool) and by the flush
-  /// barrier's concurrent shard refresh. Null when worker_threads <= 1.
-  std::unique_ptr<util::ThreadPool> pool_;
   std::vector<Shard> shards_;
-  /// Guards dirty flags + queue (mutated from pool workers mid-flush).
-  std::mutex dirty_mutex_;
-  std::vector<std::size_t> dirty_queue_;
+  std::vector<std::size_t> dirty_queue_;  ///< shards awaiting a refresh
   std::unordered_map<std::uint64_t, std::size_t> vm_shard_;
   util::Rng routing_rng_;
   /// Registry-resolved routing policy (owns its own state, e.g. the

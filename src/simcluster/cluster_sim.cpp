@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/thread_pool.hpp"
-
 namespace deflate::simcluster {
 
 namespace {
@@ -65,9 +63,6 @@ std::unique_ptr<cluster::ClusterManagerBase> make_manager(
   sharded.shard_count = config.shard_count;
   sharded.selection = config.shard_selection;
   sharded.routing_seed = config.shard_routing_seed;
-  sharded.worker_threads = config.worker_threads != 0
-                               ? config.worker_threads
-                               : util::env_threads();
   return cluster::make_cluster_manager(std::move(sharded));
 }
 

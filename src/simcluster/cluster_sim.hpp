@@ -58,9 +58,9 @@ struct SimConfig {
   /// plugin); resolved even on a flat fleet, which never routes.
   std::string shard_selection = "p2c";
   std::uint64_t shard_routing_seed = 42;
-  /// Worker threads for the manager's placement scans and tick-barrier
-  /// view drains. 0 = take DEFLATE_THREADS from the environment (unset =
-  /// serial). Never changes results — only wall-clock time.
+  /// Retired: placement runs on one thread, and nothing reads this field.
+  /// It stays only so code written when it sized the placement pool keeps
+  /// compiling.
   std::size_t worker_threads = 0;
 
   // --- transient market (src/transient) ---
@@ -103,7 +103,7 @@ struct SimConfig {
   /// generated in time order from the configured trace (Azure, Alibaba or
   /// a PR-6 capture file), held only while active, and released at
   /// departure. Results are bit-identical across `replay->window` and
-  /// `worker_threads` (tests/test_trace_replay.cpp). Ignored by the
+  /// `replay->worker_threads` (tests/test_trace_replay.cpp). Ignored by the
   /// record-vector constructor.
   std::optional<trace::ReplayConfig> replay;
 

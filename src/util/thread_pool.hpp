@@ -71,9 +71,10 @@ class ThreadPool {
 ThreadPool& global_pool();
 
 /// DEFLATE_THREADS as a worker count: 0 when unset or not a positive
-/// integer. Components that default to serial execution use this as their
-/// opt-in knob (results are thread-count independent by design, so the
-/// variable only changes speed, never output).
+/// integer. It sizes only the global pool and the arrival stream's default
+/// prefetch workers (`trace::ReplayConfig::worker_threads == 0`); placement
+/// runs on one thread whatever it says. Results are worker-count
+/// independent by design, so the variable only changes speed.
 [[nodiscard]] std::size_t env_threads();
 
 /// Splits [0, n) into contiguous chunks and runs `body(begin, end)` on the

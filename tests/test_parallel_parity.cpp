@@ -1,31 +1,33 @@
-// Thread-count parity stress (ctest label: scale): the worker pool must be
-// invisible in every result. The same fleet + seed driven with
-// worker_threads in {serial, 4, 16} has to produce *bit-identical*
-// outcomes — per-server committed vectors, ClusterStats, SimMetrics and
-// the CostReport — because all parallel reductions (the SoA placement
-// scan, the tick-barrier view drains, the shard refresh) merge under a
-// fixed total order. Any divergence here means a scheduling-dependent
-// reduction snuck into a hot path.
+// Parallel parity stress (ctest label: scale). Placement runs on one
+// thread; what is still parallel feeds it records, and must be invisible
+// in every result:
 //
-// Also pins the flush-barrier fixpoint (shards dirtied while a refresh
-// pass runs are drained before the barrier returns) by churning through
-// revocations/restores — the paths that re-dirty shards mid-maintenance —
-// and comparing end states across thread counts.
+//   * The serial fleet-scale churn end state — per-server committed and
+//     allocated CPU plus ClusterStats, flat and 4-shard — matches a digest
+//     recorded before the pooled placement scan, the pooled view drains
+//     and the shard-refresh pool were deleted: deleting them moved no
+//     decision.
+//   * A sharded replay whose arrival stream prefetches windows on 1, 4 or
+//     16 workers produces bit-identical SimMetrics and CostReport.
+//   * AzureTraceGenerator::generate() (a parallel_for over the global
+//     pool) equals a serial generate_vm loop, record for record.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "cluster/sharded_manager.hpp"
 #include "simcluster/cluster_sim.hpp"
 #include "trace/azure.hpp"
+#include "trace/replay.hpp"
 #include "util/rng.hpp"
 
 namespace cl = deflate::cluster;
 namespace hv = deflate::hv;
 namespace res = deflate::res;
 namespace sc = deflate::simcluster;
-namespace tn = deflate::transient;
 namespace tr = deflate::trace;
 namespace util = deflate::util;
 
@@ -46,16 +48,40 @@ hv::VmSpec churn_spec(util::Rng& rng, std::uint64_t id) {
   return spec;
 }
 
+/// FNV-1a over 64-bit words: doubles by bit pattern, so the digest pins
+/// every per-server value exactly.
+class Digest {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
 struct ChurnEndState {
-  std::vector<double> committed_cpu;  ///< per server, global id order
-  std::vector<double> allocated_cpu;
+  std::uint64_t digest = 0;  ///< per-server CPU columns + every stats field
   cl::ClusterStats stats;
 };
 
 /// Seeded warm + churn with revocations/restores mixed in: exercises the
 /// placement scan, the deflation path, take_server_offline/restore (which
 /// flip scan-table eligibility) and the flush barrier.
-ChurnEndState run_churn(cl::ClusterManagerBase& manager, std::size_t servers) {
+ChurnEndState run_churn(std::size_t servers, std::size_t shards) {
+  cl::ShardedClusterConfig config;
+  config.cluster.server_count = servers;
+  config.cluster.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
+  config.shard_count = shards;
+  const std::unique_ptr<cl::ClusterManagerBase> owned =
+      cl::make_cluster_manager(config);
+  cl::ClusterManagerBase& manager = *owned;
+
   util::Rng rng(2020);
   std::vector<std::uint64_t> live;
   std::vector<std::size_t> revoked;
@@ -99,217 +125,122 @@ ChurnEndState run_churn(cl::ClusterManagerBase& manager, std::size_t servers) {
   }
   manager.flush_views();
 
-  // Purge ids of VMs that vanished via revocation kills so the live list
-  // stays in sync (remove_vm on a dead id is a no-op returning false).
   ChurnEndState state;
-  state.committed_cpu.reserve(servers);
-  for (std::size_t i = 0; i < servers; ++i) {
-    state.committed_cpu.push_back(
-        manager.host(i).committed()[res::Resource::Cpu]);
-    state.allocated_cpu.push_back(
-        manager.host(i).allocated()[res::Resource::Cpu]);
-  }
   state.stats = manager.stats();
+  Digest digest;
+  for (std::size_t i = 0; i < servers; ++i) {
+    digest.add(manager.host(i).committed()[res::Resource::Cpu]);
+    digest.add(manager.host(i).allocated()[res::Resource::Cpu]);
+  }
+  const cl::ClusterStats& s = state.stats;
+  for (const std::uint64_t counter :
+       {s.placements, s.reclamation_attempts, s.reclamation_failures,
+        s.deflated_launches, s.preemptions, s.rejections, s.revocations,
+        s.restorations, s.revocation_migrations, s.revocation_kills,
+        s.admission_deferrals, s.admission_expired}) {
+    digest.add(counter);
+  }
+  state.digest = digest.value();
   return state;
 }
 
-void expect_identical(const ChurnEndState& a, const ChurnEndState& b,
-                      const char* label) {
-  ASSERT_EQ(a.committed_cpu.size(), b.committed_cpu.size());
-  for (std::size_t i = 0; i < a.committed_cpu.size(); ++i) {
-    ASSERT_EQ(a.committed_cpu[i], b.committed_cpu[i])
-        << label << ": committed CPU diverges on server " << i;
-    ASSERT_EQ(a.allocated_cpu[i], b.allocated_cpu[i])
-        << label << ": allocated CPU diverges on server " << i;
-  }
-  EXPECT_EQ(a.stats.placements, b.stats.placements) << label;
-  EXPECT_EQ(a.stats.rejections, b.stats.rejections) << label;
-  EXPECT_EQ(a.stats.reclamation_attempts, b.stats.reclamation_attempts)
-      << label;
-  EXPECT_EQ(a.stats.reclamation_failures, b.stats.reclamation_failures)
-      << label;
-  EXPECT_EQ(a.stats.deflated_launches, b.stats.deflated_launches) << label;
-  EXPECT_EQ(a.stats.preemptions, b.stats.preemptions) << label;
-  EXPECT_EQ(a.stats.revocations, b.stats.revocations) << label;
-  EXPECT_EQ(a.stats.restorations, b.stats.restorations) << label;
-  EXPECT_EQ(a.stats.revocation_migrations, b.stats.revocation_migrations)
-      << label;
-  EXPECT_EQ(a.stats.revocation_kills, b.stats.revocation_kills) << label;
-}
+/// The market-on sharded replay of the simulator parity cases, fed by a
+/// stream that prefetches `window`-record batches on `prefetch_workers`.
+sc::SimMetrics run_sharded_replay(std::size_t prefetch_workers) {
+  tr::ReplayConfig replay;
+  replay.azure.vm_count = 500;
+  replay.azure.seed = 77;
+  replay.azure.duration = deflate::sim::SimTime::from_hours(48);
+  replay.window = 64;  // many refills, each split across the workers
+  replay.worker_threads = prefetch_workers;
+  const std::unique_ptr<tr::VmArrivalStream> stream =
+      tr::make_arrival_stream(replay);
 
-ChurnEndState churn_with_threads(std::size_t servers, std::size_t shards,
-                                 std::size_t threads) {
-  cl::ShardedClusterConfig config;
-  config.cluster.server_count = servers;
-  config.cluster.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
-  config.shard_count = shards;
-  config.worker_threads = threads;
-  std::unique_ptr<cl::ClusterManagerBase> manager =
-      cl::make_cluster_manager(config);
-  return run_churn(*manager, servers);
+  sc::SimConfig config;
+  config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
+  config.server_count =
+      tr::servers_for_overcommit(*stream, config.server_capacity, -0.2);
+  config.shard_count = 8;
+  config.market_enabled = true;
+  config.market.seed = 13;
+  config.market.revocation.model = "poisson";
+  config.market.revocation.poisson_rate_per_hour = 1.0 / 18.0;
+  config.market.portfolio.on_demand_floor = 0.25;
+  return sc::TraceDrivenSimulator(*stream, config).run();
 }
 
 }  // namespace
 
-// Flat manager, 10k servers: the candidate set (the whole fleet) is far
-// above the parallel-scan cutoff, so the 4/16-thread runs genuinely chunk
-// the SoA scan across workers — and must still match the serial run bit
-// for bit.
-TEST(ParallelParity, FlatManagerScanIsThreadCountInvariant) {
-  const std::size_t servers = 10000;
-  const ChurnEndState serial = churn_with_threads(servers, 1, 0);
-  const ChurnEndState t4 = churn_with_threads(servers, 1, 4);
-  const ChurnEndState t16 = churn_with_threads(servers, 1, 16);
-  expect_identical(serial, t4, "flat 4 threads");
-  expect_identical(serial, t16, "flat 16 threads");
+// Digests recorded from the serial churn before the pooled placement paths
+// were deleted. A mismatch means a placement decision moved.
+TEST(ParallelParity, SerialFlatChurnMatchesRecordedDigest) {
+  const ChurnEndState flat = run_churn(10000, 1);
+  EXPECT_EQ(flat.stats.placements, 15152U);
+  EXPECT_EQ(flat.stats.rejections, 0U);
+  EXPECT_EQ(flat.stats.revocations, 145U);
+  EXPECT_EQ(flat.digest, 0x14b59a759e0545eaULL);
 }
 
-// Sharded scheduler, 4 shards x 2500 servers: in-shard scans exceed the
-// parallel cutoff, dirty shards refresh concurrently at the flush barrier,
-// and revocations re-dirty shards mid-churn (fixpoint path).
-TEST(ParallelParity, ShardedManagerIsThreadCountInvariant) {
-  const std::size_t servers = 10000;
-  const ChurnEndState serial = churn_with_threads(servers, 4, 0);
-  const ChurnEndState t4 = churn_with_threads(servers, 4, 4);
-  const ChurnEndState t16 = churn_with_threads(servers, 4, 16);
-  expect_identical(serial, t4, "sharded 4 threads");
-  expect_identical(serial, t16, "sharded 16 threads");
+TEST(ParallelParity, SerialShardedChurnMatchesRecordedDigest) {
+  const ChurnEndState sharded = run_churn(10000, 4);
+  EXPECT_EQ(sharded.stats.placements, 15145U);
+  EXPECT_EQ(sharded.stats.rejections, 0U);
+  EXPECT_EQ(sharded.stats.revocations, 145U);
+  EXPECT_EQ(sharded.digest, 0x8453cfe8222ece9aULL);
 }
 
-// End-to-end simulator parity with the transient market on: revocation
-// churn, portfolio cost accounting and the tick-barrier flush all run
-// above the worker pool, and every reported metric — including the cost
-// integrals — must be independent of the thread count.
-TEST(ParallelParity, SimulatorMetricsAreThreadCountInvariant) {
-  tr::AzureTraceConfig trace_config;
-  trace_config.vm_count = 500;
-  trace_config.seed = 77;
-  trace_config.duration = deflate::sim::SimTime::from_hours(48);
-  const std::vector<tr::VmRecord> records =
-      tr::AzureTraceGenerator(trace_config).generate();
-
-  const auto run_with = [&](std::size_t threads) {
-    sc::SimConfig config;
-    config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
-    config.server_count = sc::TraceDrivenSimulator::servers_for_overcommit(
-        records, config.server_capacity, -0.2);
-    config.shard_count = 8;
-    config.worker_threads = threads;
-    config.market_enabled = true;
-    config.market.seed = 13;
-    config.market.revocation.model = tn::RevocationModel::Poisson;
-    config.market.revocation.poisson_rate_per_hour = 1.0 / 18.0;
-    config.market.portfolio.on_demand_floor = 0.25;
-    return sc::TraceDrivenSimulator(records, config).run();
-  };
-
-  const sc::SimMetrics serial = run_with(1);
-  for (const std::size_t threads : {std::size_t{4}, std::size_t{16}}) {
-    const sc::SimMetrics threaded = run_with(threads);
-    EXPECT_EQ(serial.reclamation_attempts, threaded.reclamation_attempts);
-    EXPECT_EQ(serial.reclamation_failures, threaded.reclamation_failures);
-    EXPECT_EQ(serial.preemptions, threaded.preemptions);
-    EXPECT_EQ(serial.rejections, threaded.rejections);
-    EXPECT_EQ(serial.revocations, threaded.revocations);
-    EXPECT_EQ(serial.revocation_migrations, threaded.revocation_migrations);
-    EXPECT_EQ(serial.revocation_kills, threaded.revocation_kills);
-    EXPECT_EQ(serial.failure_probability, threaded.failure_probability);
-    EXPECT_EQ(serial.throughput_loss, threaded.throughput_loss);
-    EXPECT_EQ(serial.unserved_core_hours, threaded.unserved_core_hours);
-    EXPECT_EQ(serial.mean_cpu_deflation, threaded.mean_cpu_deflation);
-    EXPECT_EQ(serial.achieved_overcommit, threaded.achieved_overcommit);
-    EXPECT_EQ(serial.transient_server_share, threaded.transient_server_share);
+// The stream's prefetch pool is the placement layer's one parallel input:
+// the replay's every metric, cost integrals included, must be independent
+// of its worker count.
+TEST(ParallelParity, ShardedReplayIsPrefetchWorkerInvariant) {
+  const sc::SimMetrics serial = run_sharded_replay(1);
+  EXPECT_GT(serial.revocations, 0U);
+  for (const std::size_t workers : {std::size_t{4}, std::size_t{16}}) {
+    const sc::SimMetrics pooled = run_sharded_replay(workers);
+    EXPECT_EQ(serial.vm_count, pooled.vm_count);
+    EXPECT_EQ(serial.reclamation_attempts, pooled.reclamation_attempts);
+    EXPECT_EQ(serial.reclamation_failures, pooled.reclamation_failures);
+    EXPECT_EQ(serial.preemptions, pooled.preemptions);
+    EXPECT_EQ(serial.rejections, pooled.rejections);
+    EXPECT_EQ(serial.revocations, pooled.revocations);
+    EXPECT_EQ(serial.revocation_migrations, pooled.revocation_migrations);
+    EXPECT_EQ(serial.revocation_kills, pooled.revocation_kills);
+    EXPECT_EQ(serial.failure_probability, pooled.failure_probability);
+    EXPECT_EQ(serial.throughput_loss, pooled.throughput_loss);
+    EXPECT_EQ(serial.unserved_core_hours, pooled.unserved_core_hours);
+    EXPECT_EQ(serial.mean_cpu_deflation, pooled.mean_cpu_deflation);
+    EXPECT_EQ(serial.achieved_overcommit, pooled.achieved_overcommit);
+    EXPECT_EQ(serial.transient_server_share, pooled.transient_server_share);
     EXPECT_EQ(serial.cost.on_demand_core_hours,
-              threaded.cost.on_demand_core_hours);
+              pooled.cost.on_demand_core_hours);
     EXPECT_EQ(serial.cost.transient_core_hours,
-              threaded.cost.transient_core_hours);
-    EXPECT_EQ(serial.cost.on_demand_cost, threaded.cost.on_demand_cost);
-    EXPECT_EQ(serial.cost.transient_cost, threaded.cost.transient_cost);
-    EXPECT_EQ(serial.cost.all_on_demand_cost,
-              threaded.cost.all_on_demand_cost);
+              pooled.cost.transient_core_hours);
+    EXPECT_EQ(serial.cost.on_demand_cost, pooled.cost.on_demand_cost);
+    EXPECT_EQ(serial.cost.transient_cost, pooled.cost.transient_cost);
+    EXPECT_EQ(serial.cost.all_on_demand_cost, pooled.cost.all_on_demand_cost);
   }
 }
 
-// Same invariance with the online control plane live: a regime shift at
-// 12h, a responsive forecast and a per-window move budget make the
-// controller re-optimize and rewrite the revoke/restore schedule mid-run.
-// Reopt events sit on tick barriers and the rewritten plan is a pure
-// function of realized (deterministic) history, so every metric —
-// including the controller's own counters and its segment-aware cost
-// report — must still be independent of the worker-thread count.
-TEST(ParallelParity, ControllerEnabledSimulatorIsThreadCountInvariant) {
-  tr::AzureTraceConfig trace_config;
-  trace_config.vm_count = 500;
-  trace_config.seed = 77;
-  trace_config.duration = deflate::sim::SimTime::from_hours(48);
-  const std::vector<tr::VmRecord> records =
-      tr::AzureTraceGenerator(trace_config).generate();
-
-  const auto run_with = [&](std::size_t threads) {
-    sc::SimConfig config;
-    config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
-    config.server_count = sc::TraceDrivenSimulator::servers_for_overcommit(
-        records, config.server_capacity, -0.2);
-    config.shard_count = 8;
-    config.worker_threads = threads;
-    config.market_enabled = true;
-    config.market.seed = 13;
-    config.market.revocation.model = tn::RevocationModel::Poisson;
-    config.market.revocation.poisson_rate_per_hour = 1.0 / 18.0;
-    config.market.portfolio.on_demand_floor = 0.25;
-    config.market.replicate_markets(3, 0.4);
-    config.control.enabled = true;
-    config.control.reopt_hours = 6.0;
-    config.control.max_moves_per_window = 4;
-    config.control.forecast = "windowed";
-    config.control.regime_shift.at_hours = 12.0;
-    config.control.regime_shift.after = config.market;
-    config.control.regime_shift.after.seed = 99;
-    for (auto& market : config.control.regime_shift.after.markets) {
-      market.revocation.poisson_rate_per_hour = 1.0 / 4.0;
-    }
-    return sc::TraceDrivenSimulator(records, config).run();
-  };
-
-  const sc::SimMetrics serial = run_with(1);
-  EXPECT_GT(serial.control_reopts, 0U);
-  for (const std::size_t threads : {std::size_t{4}, std::size_t{16}}) {
-    const sc::SimMetrics threaded = run_with(threads);
-    EXPECT_EQ(serial.control_reopts, threaded.control_reopts);
-    EXPECT_EQ(serial.control_moves, threaded.control_moves);
-    EXPECT_EQ(serial.revocations, threaded.revocations);
-    EXPECT_EQ(serial.revocation_migrations, threaded.revocation_migrations);
-    EXPECT_EQ(serial.revocation_kills, threaded.revocation_kills);
-    EXPECT_EQ(serial.preemptions, threaded.preemptions);
-    EXPECT_EQ(serial.rejections, threaded.rejections);
-    EXPECT_EQ(serial.failure_probability, threaded.failure_probability);
-    EXPECT_EQ(serial.throughput_loss, threaded.throughput_loss);
-    EXPECT_EQ(serial.unserved_core_hours, threaded.unserved_core_hours);
-    EXPECT_EQ(serial.mean_cpu_deflation, threaded.mean_cpu_deflation);
-    EXPECT_EQ(serial.cost.on_demand_core_hours,
-              threaded.cost.on_demand_core_hours);
-    EXPECT_EQ(serial.cost.transient_core_hours,
-              threaded.cost.transient_core_hours);
-    EXPECT_EQ(serial.cost.on_demand_cost, threaded.cost.on_demand_cost);
-    EXPECT_EQ(serial.cost.transient_cost, threaded.cost.transient_cost);
-    EXPECT_EQ(serial.cost.all_on_demand_cost,
-              threaded.cost.all_on_demand_cost);
+// generate() fills records in parallel chunks; each record is a pure
+// function of (seed, id), so the batch equals the serial loop.
+TEST(ParallelParity, AzureGenerateMatchesSerialGenerateVm) {
+  tr::AzureTraceConfig config;
+  config.vm_count = 2000;
+  config.seed = 77;
+  config.duration = deflate::sim::SimTime::from_hours(48);
+  const tr::AzureTraceGenerator generator(config);
+  const std::vector<tr::VmRecord> batch = generator.generate();
+  ASSERT_EQ(batch.size(), config.vm_count);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const tr::VmRecord serial = generator.generate_vm(i);
+    ASSERT_EQ(batch[i].id, serial.id) << "record " << i;
+    ASSERT_EQ(batch[i].workload, serial.workload) << "record " << i;
+    ASSERT_EQ(batch[i].vcpus, serial.vcpus) << "record " << i;
+    ASSERT_EQ(batch[i].memory_mib, serial.memory_mib) << "record " << i;
+    ASSERT_EQ(batch[i].disk_bw_mbps, serial.disk_bw_mbps) << "record " << i;
+    ASSERT_EQ(batch[i].net_bw_mbps, serial.net_bw_mbps) << "record " << i;
+    ASSERT_EQ(batch[i].start, serial.start) << "record " << i;
+    ASSERT_EQ(batch[i].end, serial.end) << "record " << i;
+    ASSERT_EQ(batch[i].cpu.samples(), serial.cpu.samples()) << "record " << i;
   }
-}
-
-// DEFLATE_THREADS is the environment-level knob feeding the same plumbing
-// (SimConfig.worker_threads = 0 resolves through util::env_threads); the
-// explicit-parameter invariance above covers it, but pin the resolution
-// order: an explicit worker_threads wins over the environment.
-TEST(ParallelParity, ExplicitThreadsOverrideEnvironment) {
-  cl::ShardedClusterConfig config;
-  config.cluster.server_count = 64;
-  config.shard_count = 2;
-  config.worker_threads = 3;
-  cl::ShardedClusterManager manager(config);
-  EXPECT_EQ(manager.shard_count(), 2U);
-  // Placements still work with an explicit pool size.
-  util::Rng rng(1);
-  const hv::VmSpec spec = churn_spec(rng, 1);
-  EXPECT_TRUE(manager.place_vm(spec).ok());
 }
