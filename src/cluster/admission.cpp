@@ -168,10 +168,10 @@ AdmissionDecision AdmissionController::decide(const AdmissionRequest& request,
       break;
     case AdmissionDecision::Status::Deferred: {
       ++stats_.deferrals;
-      const Pending pending{request, decision.retry_at};
-      queue_.insert(std::upper_bound(queue_.begin(), queue_.end(), pending,
-                                     PendingBefore{}),
-                    pending);
+      Pending pending{request, decision.retry_at};
+      const auto at = std::upper_bound(queue_.begin(), queue_.end(), pending,
+                                       PendingBefore{});
+      queue_.insert(at, std::move(pending));
       break;
     }
   }
@@ -187,14 +187,14 @@ std::vector<AdmissionController::Resolved> AdmissionController::drain(
     sim::SimTime now) {
   std::vector<Resolved> resolved;
   while (!queue_.empty() && queue_.front().retry_at <= now) {
-    const Pending pending = queue_.front();
-    queue_.erase(queue_.begin());
+    Pending pending = std::move(queue_.front());
+    queue_.pop_front();
     AdmissionDecision decision = evaluate(pending.request, now);
     switch (decision.status) {
       case AdmissionDecision::Status::Placed:
       case AdmissionDecision::Status::PlacedDeflated:
         ++stats_.admitted;
-        resolved.push_back({pending.request, decision});
+        resolved.push_back({std::move(pending.request), decision});
         break;
       case AdmissionDecision::Status::Rejected:
         if (decision.reason == AdmissionDecision::Reason::DeadlineExpired) {
@@ -202,18 +202,17 @@ std::vector<AdmissionController::Resolved> AdmissionController::drain(
         } else {
           ++stats_.rejected;
         }
-        resolved.push_back({pending.request, decision});
+        resolved.push_back({std::move(pending.request), decision});
         break;
       case AdmissionDecision::Status::Deferred: {
         // Queue invariant: a re-deferral must move strictly forward, or
         // drain would spin on the same entry.
         ++stats_.retries;
-        Pending requeued = pending;
-        requeued.retry_at = std::max(
+        pending.retry_at = std::max(
             decision.retry_at, now + sim::SimTime::from_micros(1));
-        queue_.insert(std::upper_bound(queue_.begin(), queue_.end(), requeued,
-                                       PendingBefore{}),
-                      requeued);
+        const auto at = std::upper_bound(queue_.begin(), queue_.end(),
+                                         pending, PendingBefore{});
+        queue_.insert(at, std::move(pending));
         break;
       }
     }

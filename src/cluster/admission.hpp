@@ -46,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -261,9 +262,11 @@ class AdmissionController {
   };
 
   AdmissionConfig config_;
-  /// Kept sorted by (retry_at, arrival, vm id) — see the queue invariants
-  /// in the header comment.
-  std::vector<Pending> queue_;
+  /// Kept sorted by (retry_at, arrival, vm id), equal keys in insertion
+  /// order — see the queue invariants in the header comment. A deque:
+  /// drain pops the front in O(1), and an upper_bound insert shifts only
+  /// the shorter side.
+  std::deque<Pending> queue_;
   AdmissionStats stats_;
   /// Manager-counter increments from placement attempts whose rejection
   /// was converted into a re-deferral (retry noise; only the final

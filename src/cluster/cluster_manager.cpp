@@ -26,6 +26,7 @@ ClusterManager::ClusterManager(ClusterConfig config)
   view_dirty_.assign(config_.server_count, 0);
   dirty_queue_.reserve(config_.server_count);
   scan_.resize(config_.server_count, config_.server_capacity);
+  reject_memo_.resize(partitions_.pool_count());
   for (std::size_t i = 0; i < config_.server_count; ++i) {
     auto node = std::make_unique<ServerNode>(i, config_);
     node->controller = std::make_unique<core::LocalDeflationController>(
@@ -104,8 +105,7 @@ std::vector<std::size_t> ClusterManager::candidate_servers(
 }
 
 double ClusterManager::min_launch_fraction(const hv::VmSpec& spec) const {
-  const hv::Vm probe(spec);  // for the survival floor
-  const res::ResourceVector floor = probe.allocation_floor();
+  const res::ResourceVector floor = hv::allocation_floor(spec);
   const res::ResourceVector full = spec.vector();
   double fraction = 0.0;
   for (const res::Resource r : res::all_resources) {
@@ -217,6 +217,15 @@ PlacementResult ClusterManager::place_with_preemption(
   return admit(spec, server, 1.0);
 }
 
+PlacementResult ClusterManager::reject_unplaceable() {
+  ++stats_.reclamation_failures;
+  ++stats_.rejections;
+  PlacementResult result;
+  result.needed_reclamation = true;
+  result.status = PlacementResult::Status::Rejected;
+  return result;
+}
+
 PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
   DEFLATE_PROFILE_SCOPE("cluster.place");
   // Views are maintained lazily; bring the dirty ones up to date so every
@@ -238,6 +247,28 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
       partitions_.pool(pool_index);
 
   const res::ResourceVector full_demand = spec.vector();
+  RejectMemo& memo = reject_memo_[pool_index];
+  if (memo.version == scan_.version() && !memo.demands.empty() &&
+      full_demand.all_geq(res::ResourceVector{})) {
+    // Every demand this attempt would try is >= its smallest one (the
+    // bottom of the ladder, or full size), and both feasibility tests only
+    // get harder as a demand grows: if a recorded demand failed
+    // everywhere, so does each of ours.
+    const double bottom =
+        spec.deflatable
+            ? walk_launch_ladder(config_.deflated_launch_step,
+                                 min_launch_fraction(spec),
+                                 [](double) { return false; })
+            : 1.0;
+    const res::ResourceVector smallest = full_demand * bottom;
+    for (const res::ResourceVector& recorded : memo.demands) {
+      if (smallest.all_geq(recorded)) {
+        ++stats_.reclamation_attempts;
+        return reject_unplaceable();
+      }
+    }
+  }
+
   auto try_fraction = [&](double fraction) -> std::optional<std::size_t> {
     const res::ResourceVector demand = full_demand * fraction;
     // Deflation is a *pressure* response (§5): while surplus capacity
@@ -258,29 +289,37 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
     return admit(spec, *server, 1.0);
   }
 
-  // No server can host the full size. Deflatable VMs may start deflated
-  // (§5.1.1); scan downwards to the policy's minimum retained fraction.
+  ++stats_.reclamation_attempts;  // full-size reclamation was infeasible
+  double smallest_tried = 1.0;
   if (spec.deflatable) {
-    ++stats_.reclamation_attempts;  // full-size reclamation was infeasible
-    const double min_fraction = min_launch_fraction(spec);
-    for (double fraction = 1.0 - config_.deflated_launch_step;
-         fraction >= min_fraction - 1e-9;
-         fraction -= config_.deflated_launch_step) {
-      const double f = std::max(fraction, min_fraction);
-      if (const auto server = try_fraction(f)) {
-        return admit(spec, *server, f);
-      }
-    }
-    ++stats_.reclamation_failures;
-  } else {
-    ++stats_.reclamation_attempts;
-    ++stats_.reclamation_failures;
+    // No server can host the full size. Deflatable VMs may start deflated
+    // (§5.1.1); scan downwards to the policy's minimum retained fraction.
+    std::optional<std::size_t> server;
+    smallest_tried = walk_launch_ladder(
+        config_.deflated_launch_step, min_launch_fraction(spec),
+        [&](double fraction) {
+          server = try_fraction(fraction);
+          return server.has_value();
+        });
+    if (server) return admit(spec, *server, smallest_tried);
   }
-  ++stats_.rejections;
-  PlacementResult result;
-  result.needed_reclamation = true;
-  result.status = PlacementResult::Status::Rejected;
-  return result;
+
+  // Every size was infeasible on every server: certify the smallest one
+  // for this table version. Entries it is below on every resource are
+  // redundant now.
+  if (memo.version != scan_.version()) {
+    memo.version = scan_.version();
+    memo.demands.clear();
+  }
+  const res::ResourceVector rejected = full_demand * smallest_tried;
+  std::erase_if(memo.demands, [&](const res::ResourceVector& recorded) {
+    return recorded.all_geq(rejected);
+  });
+  if (memo.demands.size() == kRejectMemoSize) {
+    memo.demands.erase(memo.demands.begin());
+  }
+  memo.demands.push_back(rejected);
+  return reject_unplaceable();
 }
 
 std::optional<std::vector<hv::VmSpec>> ClusterManager::take_server_offline(

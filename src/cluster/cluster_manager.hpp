@@ -11,6 +11,7 @@
 // size.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -92,6 +93,30 @@ struct ClusterStats {
                                               const hv::VmSpec& b) noexcept {
   if (a.priority != b.priority) return a.priority > b.priority;
   return a.id < b.id;
+}
+
+/// The deflated-launch ladder (§5.1.1): the fractions a deflatable VM may
+/// start at below full size, 1 - step, 1 - 2 step, ... (by repeated
+/// subtraction), each raised to `min_fraction`, down to the last one at or
+/// above `min_fraction` - 1e-9. Calls `try_fraction(f)` on each in turn
+/// until it returns true, and returns the last fraction tried (1.0 when
+/// the ladder is empty). Fractions never increase along the ladder, so on
+/// a miss the result is the smallest fraction tried.
+///
+/// A minimum off the step grid is never tried itself: the ladder stops at
+/// the last grid step above it, so the raise moves a fraction by at most
+/// 1e-9. The priority policy's minimum pi * M, for one, is never tried
+/// unless it lies on the grid.
+template <class TryFraction>
+double walk_launch_ladder(double step, double min_fraction,
+                          TryFraction&& try_fraction) {
+  double last = 1.0;
+  for (double fraction = 1.0 - step; fraction >= min_fraction - 1e-9;
+       fraction -= step) {
+    last = std::max(fraction, min_fraction);
+    if (try_fraction(last)) break;
+  }
+  return last;
 }
 
 /// What happened to the VMs resident on a revoked server.
@@ -305,6 +330,20 @@ class ClusterManager : public ClusterManagerBase {
   /// Smallest launch fraction the configured policy would ever leave the
   /// VM with (deflated-launch lower bound).
   [[nodiscard]] double min_launch_fraction(const hv::VmSpec& spec) const;
+  /// Counts a rejection after every launch size failed both scans.
+  PlacementResult reject_unplaceable();
+
+  /// Certified rejections of one partition pool (deflation mode): the
+  /// smallest demands a whole placement attempt tried, each rejected by
+  /// both scans on every server of the pool while the scan table stood at
+  /// `version`. A later attempt whose every demand is at least one of
+  /// these on every resource must reject too (cluster/README.md, "Scan and
+  /// flush invariants").
+  struct RejectMemo {
+    std::uint64_t version = 0;
+    std::vector<res::ResourceVector> demands;  ///< at most kRejectMemoSize
+  };
+  static constexpr std::size_t kRejectMemoSize = 8;
 
   ClusterConfig config_;
   std::shared_ptr<core::DeflationPolicy> policy_;
@@ -316,6 +355,7 @@ class ClusterManager : public ClusterManagerBase {
   /// SoA per-server scan state: the placement loops and deflation sweeps
   /// read these dense columns instead of chasing per-node structs.
   HostScanTable scan_;
+  std::vector<RejectMemo> reject_memo_;    ///< per partition pool
   std::vector<std::uint8_t> view_dirty_;   ///< per-server dirty flag
   std::vector<std::size_t> dirty_queue_;   ///< servers awaiting a rescan
   ClusterStats stats_;

@@ -380,6 +380,7 @@ void HostScanTable::resize(std::size_t servers,
   availability_norm_.assign(servers, 0.0);
   active_.assign(servers, 1);
   eligible_.assign(servers, 1);
+  ++version_;
 }
 
 void HostScanTable::set_row(std::size_t i, const res::ResourceVector& available,
@@ -398,12 +399,14 @@ void HostScanTable::set_row(std::size_t i, const res::ResourceVector& available,
   }
   overcommit_[i] = overcommit;
   availability_norm_[i] = a.norm();
+  ++version_;
 }
 
 void HostScanTable::set_status(std::size_t i, bool active,
                                bool accepting) noexcept {
   active_[i] = active ? 1 : 0;
   eligible_[i] = active && accepting ? 1 : 0;
+  ++version_;
 }
 
 res::ResourceVector HostScanTable::available_of(std::size_t i) const noexcept {

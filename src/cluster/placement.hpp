@@ -159,7 +159,9 @@ struct ResourceColumns {
 /// pointers, never a per-server struct, so the hot loop is cache-linear.
 /// `set_row` is the only writer of a server's state, and it derives the
 /// availability vector A_j and its norm there, so the derived columns
-/// cannot go stale.
+/// cannot go stale. `set_row` and `set_status` also advance `version()`,
+/// so a result derived from the table stays valid exactly while the
+/// version does.
 class HostScanTable {
  public:
   /// Zeroed rows, all servers active and eligible; `capacity` is
@@ -169,6 +171,9 @@ class HostScanTable {
   [[nodiscard]] const res::ResourceVector& capacity() const noexcept {
     return capacity_;
   }
+  /// Advances on every write (resize, set_row, set_status), changed
+  /// values or not.
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   /// Writes server `i`'s state, and A_j = availability_vector(view_of(i))
   /// with its norm into the derived columns.
@@ -214,6 +219,7 @@ class HostScanTable {
   }
 
   res::ResourceVector capacity_;
+  std::uint64_t version_ = 0;
   Columns available_;
   Columns deflatable_;
   std::vector<double> overcommit_;

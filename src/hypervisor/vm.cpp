@@ -70,12 +70,12 @@ double Vm::memory_swap_pressure() const noexcept {
   return guest_.swap_pressure(effective_allocation()[res::Resource::Memory]);
 }
 
-res::ResourceVector Vm::allocation_floor() const noexcept {
+res::ResourceVector allocation_floor(const VmSpec& spec) noexcept {
   // Keep the guest bootable: a sliver of a core, one memory block, and a
   // trickle of I/O, or the user-specified minimum if that is higher.
   const res::ResourceVector survival{0.05, kMemoryBlockMib, 1.0, 1.0};
-  return spec_.min_vector().elementwise_max(
-      survival.elementwise_min(spec_.vector()));
+  return spec.min_vector().elementwise_max(
+      survival.elementwise_min(spec.vector()));
 }
 
 }  // namespace deflate::hv

@@ -46,6 +46,12 @@ struct VmSpec {
   }
 };
 
+/// Floor the cluster policies must respect for a VM of this spec:
+/// max(spec minimums, one block of memory / a sliver of CPU so the guest
+/// stays alive), capped at the spec. Placement reads it without building
+/// a Vm.
+[[nodiscard]] res::ResourceVector allocation_floor(const VmSpec& spec) noexcept;
+
 /// Hypervisor-side cgroup state for one VM (cpu.cfs quota expressed in
 /// cores, mem.limit_in_bytes in MiB, blkio and net-cls throttles in MB/s
 /// and Mbps). Values are capped at the spec: cgroups can only *restrict*.
@@ -85,9 +91,10 @@ class Vm {
   /// Swap pressure implied by the current effective memory allocation.
   [[nodiscard]] double memory_swap_pressure() const noexcept;
 
-  /// Floor the cluster policies must respect: max(spec minimums, one block
-  /// of memory / a sliver of CPU so the guest stays alive).
-  [[nodiscard]] res::ResourceVector allocation_floor() const noexcept;
+  /// hv::allocation_floor(spec()).
+  [[nodiscard]] res::ResourceVector allocation_floor() const noexcept {
+    return hv::allocation_floor(spec_);
+  }
 
  private:
   VmSpec spec_;

@@ -203,10 +203,15 @@ void Server::serve_connection(std::uint32_t conn_id,
     if (!out.empty() && !socket->send_all(out.data(), out.size())) break;
   }
 
+  {
+    // Unlisted before the close, so stop() never shuts down a descriptor
+    // that close() is releasing.
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    open_connections_.erase(conn_id);
+  }
   socket->close();
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  open_connections_.erase(conn_id);
   if (request_shutdown) {
+    std::lock_guard<std::mutex> lock(state_mutex_);
     shutdown_requested_ = true;
     shutdown_cv_.notify_all();
   }
@@ -248,8 +253,9 @@ void Server::stop() {
     // Wake every handler parked in recv().
     for (auto& [id, socket] : open_connections_) socket->shutdown_both();
   }
-  listener_.close();  // wakes the accept loop
+  listener_.shutdown();  // wakes the accept loop, which still reads the fd
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   if (pool_ != nullptr) pool_->wait_idle();
   if (capture_ != nullptr) {
     std::lock_guard<std::mutex> admission(admission_mutex_);

@@ -89,6 +89,13 @@ class ResourceVector {
     }
     return true;
   }
+  /// Exact: every component >= rhs's, with no epsilon (false on NaN).
+  [[nodiscard]] constexpr bool all_geq(const ResourceVector& rhs) const noexcept {
+    for (std::size_t i = 0; i < kNumResources; ++i) {
+      if (!(values_[i] >= rhs.values_[i])) return false;
+    }
+    return true;
+  }
   [[nodiscard]] constexpr bool any_negative(double eps = 1e-9) const noexcept {
     for (const double v : values_) {
       if (v < -eps) return true;

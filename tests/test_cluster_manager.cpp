@@ -91,6 +91,54 @@ TEST(ClusterManager, DeflatableVmLaunchesDeflatedUnderPressure) {
   EXPECT_GT(vm->max_deflation_fraction(), 0.0);
 }
 
+// Pins a quirk of the deflated-launch ladder without endorsing it: the
+// ladder walks the deflated_launch_step grid and stops at the last step at
+// or above the policy minimum, so a minimum off the grid is never tried.
+// Trying it would move placement decisions (a design change, tracked in
+// ROADMAP.md).
+TEST(ClusterManager, DeflatedLaunchNeverTriesOffGridMinimum) {
+  std::vector<double> tried;
+  const double last = cl::walk_launch_ladder(0.05, 0.42, [&](double f) {
+    tried.push_back(f);
+    return false;
+  });
+  ASSERT_FALSE(tried.empty());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(last),
+            std::bit_cast<std::uint64_t>(tried.back()));
+  EXPECT_GT(last, 0.42 + 0.01);  // the 0.45 step; 0.40 is below the minimum
+  for (const double f : tried) EXPECT_NE(f, 0.42);
+  // On the grid, raising a step to the minimum moves it by at most 1e-9.
+  const double on_grid =
+      cl::walk_launch_ladder(0.05, 0.5, [](double) { return false; });
+  EXPECT_GE(on_grid, 0.5);
+  EXPECT_LE(on_grid - 0.5, 1e-9);
+  // A policy above the whole grid tries full size only.
+  EXPECT_EQ(cl::walk_launch_ladder(0.05, 0.97, [](double) { return false; }),
+            1.0);
+
+  // The priority policy's minimum pi * M = 0.42 of an 8-core VM is 3.36
+  // cores, which fits the 3.5 free cores; the 0.45 step (3.6) does not, and
+  // the ladder stops there, so the VM is rejected.
+  cl::ClusterConfig config = small_cluster(1);
+  config.server_capacity = {15.5, 32768.0, 1e9, 1e9};
+  config.policy = deflate::core::PolicyKind::Priority;
+  cl::ClusterManager manager(config);
+  ASSERT_TRUE(manager.place_vm(make_spec(1, 12, 1024.0, false)).ok());
+  const hv::VmSpec squeezed = make_spec(2, 8, 4096.0, true, 0.42);
+  const auto rejected = manager.place_vm(squeezed);
+  EXPECT_EQ(rejected.status, cl::PlacementResult::Status::Rejected);
+  EXPECT_EQ(manager.stats().rejections, 1U);
+
+  // With 3.7 free cores the 0.45 step fits, and that grid step, not the
+  // minimum, is the launch fraction.
+  config.server_capacity = {15.7, 32768.0, 1e9, 1e9};
+  cl::ClusterManager roomier(config);
+  ASSERT_TRUE(roomier.place_vm(make_spec(1, 12, 1024.0, false)).ok());
+  const auto placed = roomier.place_vm(squeezed);
+  EXPECT_EQ(placed.status, cl::PlacementResult::Status::PlacedDeflated);
+  EXPECT_NEAR(placed.launch_fraction, 0.45, 1e-9);
+}
+
 TEST(ClusterManager, RemoveVmReinflatesSurvivors) {
   cl::ClusterManager manager(small_cluster(1));
   manager.place_vm(make_spec(1, 16, 32768.0, true));
