@@ -248,11 +248,11 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
 
   const res::ResourceVector full_demand = spec.vector();
   RejectMemo& memo = reject_memo_[pool_index];
-  if (memo.version == scan_.version() && !memo.demands.empty() &&
+  if (memo.rejected && memo.version == scan_.version() &&
       full_demand.all_geq(res::ResourceVector{})) {
     // Every demand this attempt would try is >= its smallest one (the
     // bottom of the ladder, or full size), and both feasibility tests only
-    // get harder as a demand grows: if a recorded demand failed
+    // get harder as a demand grows: if the recorded demand failed
     // everywhere, so does each of ours.
     const double bottom =
         spec.deflatable
@@ -260,12 +260,9 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
                                  min_launch_fraction(spec),
                                  [](double) { return false; })
             : 1.0;
-    const res::ResourceVector smallest = full_demand * bottom;
-    for (const res::ResourceVector& recorded : memo.demands) {
-      if (smallest.all_geq(recorded)) {
-        ++stats_.reclamation_attempts;
-        return reject_unplaceable();
-      }
+    if ((full_demand * bottom).all_geq(*memo.rejected)) {
+      ++stats_.reclamation_attempts;
+      return reject_unplaceable();
     }
   }
 
@@ -305,20 +302,9 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
   }
 
   // Every size was infeasible on every server: certify the smallest one
-  // for this table version. Entries it is below on every resource are
-  // redundant now.
-  if (memo.version != scan_.version()) {
-    memo.version = scan_.version();
-    memo.demands.clear();
-  }
-  const res::ResourceVector rejected = full_demand * smallest_tried;
-  std::erase_if(memo.demands, [&](const res::ResourceVector& recorded) {
-    return recorded.all_geq(rejected);
-  });
-  if (memo.demands.size() == kRejectMemoSize) {
-    memo.demands.erase(memo.demands.begin());
-  }
-  memo.demands.push_back(rejected);
+  // for this table version, in place of whatever the pool held (a miss
+  // under the same version means ours is below it on some resource).
+  memo = {scan_.version(), full_demand * smallest_tried};
   return reject_unplaceable();
 }
 
@@ -458,6 +444,9 @@ void ClusterManager::rebind_placement(const std::string& name) {
   // leaves the current binding in place.
   scorer_ = make_placement_scorer(name);
   config_.placement = name;
+  // A reject is certified by the scorer that scanned it, not only by the
+  // table it read.
+  reject_memo_.assign(reject_memo_.size(), RejectMemo{});
 }
 
 }  // namespace deflate::cluster

@@ -333,17 +333,16 @@ class ClusterManager : public ClusterManagerBase {
   /// Counts a rejection after every launch size failed both scans.
   PlacementResult reject_unplaceable();
 
-  /// Certified rejections of one partition pool (deflation mode): the
-  /// smallest demands a whole placement attempt tried, each rejected by
-  /// both scans on every server of the pool while the scan table stood at
-  /// `version`. A later attempt whose every demand is at least one of
-  /// these on every resource must reject too (cluster/README.md, "Scan and
-  /// flush invariants").
+  /// The certified rejection of one partition pool (deflation mode): the
+  /// smallest demand of the latest placement attempt that both scans
+  /// rejected on every server of the pool, while the scan table stood at
+  /// `version` and under the bound scorer. A later attempt whose every
+  /// demand is at least this one on every resource must reject too
+  /// (cluster/README.md, "Scan and flush invariants").
   struct RejectMemo {
     std::uint64_t version = 0;
-    std::vector<res::ResourceVector> demands;  ///< at most kRejectMemoSize
+    std::optional<res::ResourceVector> rejected;
   };
-  static constexpr std::size_t kRejectMemoSize = 8;
 
   ClusterConfig config_;
   std::shared_ptr<core::DeflationPolicy> policy_;

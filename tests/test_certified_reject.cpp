@@ -378,3 +378,65 @@ TEST(CertifiedReject, PlaceVmMatchesUnboundedLadder) {
   EXPECT_GT(tally.certified, 500u);
   EXPECT_LT(tally.certified, tally.ladder_rejects);
 }
+
+namespace {
+
+/// A plugin stricter than select_loop: every scan finds no server.
+class RefuseAll final : public cl::PlacementScorer {
+ public:
+  [[nodiscard]] Order order() const noexcept override {
+    return Order::HigherBetter;
+  }
+  [[nodiscard]] double score(const res::ResourceVector&, const cl::HostView&,
+                             bool) const override {
+    return 0.0;
+  }
+  [[nodiscard]] cl::ScanWinner scan(const cl::ScanRequest&) const override {
+    ++g_scans;
+    return {};
+  }
+};
+
+}  // namespace
+
+// A reject is certified by the scorer that scanned it as well as by the
+// table: after rebind_placement, a demand the old scorer rejected must be
+// scanned again, and a looser scorer must be free to place it.
+TEST(CertifiedReject, RebindDropsTheMemo) {
+  counted_scorers();  // registers "counted-fitness" before the plugin below
+  cl::PlacementRegistry::instance().add(
+      "test-refuse-all", "test: finds no server",
+      [] { return std::make_shared<const RefuseAll>(); });
+  cl::ClusterConfig config;
+  config.server_count = 2;
+  config.server_capacity = {16.0, 32768.0, 1000.0, 10000.0};
+  config.placement = "test-refuse-all";
+  cl::ClusterManager manager(config);
+  hv::VmSpec spec;
+  spec.vcpus = 2;
+  spec.memory_mib = 4096.0;
+  spec.deflatable = true;
+  spec.min_fraction = 0.5;
+
+  auto place = [&](std::uint64_t id, std::uint64_t& scans) {
+    spec.id = id;
+    const std::uint64_t before = g_scans;
+    const cl::PlacementResult result = manager.place_vm(spec);
+    scans = g_scans - before;
+    return result;
+  };
+  std::uint64_t scans = 0;
+  EXPECT_FALSE(place(1, scans).ok());
+  EXPECT_GT(scans, 0u);
+  EXPECT_FALSE(place(2, scans).ok());
+  EXPECT_EQ(scans, 0u) << "the second reject is certified";
+
+  manager.rebind_placement("test-refuse-all");
+  EXPECT_FALSE(place(3, scans).ok());
+  EXPECT_GT(scans, 0u) << "a rebind, even to the same name, drops the memo";
+
+  manager.rebind_placement("counted-fitness");
+  const cl::PlacementResult placed = place(4, scans);
+  EXPECT_GT(scans, 0u);
+  EXPECT_EQ(placed.status, cl::PlacementResult::Status::Placed);
+}

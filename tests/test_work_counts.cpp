@@ -137,13 +137,11 @@ TEST(WorkCounts, DaemonPriceSessionScansPerPlacement) {
   ASSERT_GT(counts.retries, 10000u);
   ASSERT_GT(counts.admitted, 200u);  // the fleet fills
 
-  // Committed expectations. Measured with g++ 12 on x86-64: 68080
-  // place_vm calls and 737 scans (0.011 per call). Without the
+  // Committed expectations, measured with g++ 12 and glibc on x86-64:
+  // 68080 place_vm calls and 763 scans (0.011 per call). Without the
   // certified-reject memo each rejected call walks the whole launch ladder,
-  // two scans per step: 1317553 scans, 19.4 per call. The bounds leave
-  // room for libm differences in the generated price trace, not for a
-  // lost memo.
-  EXPECT_LE(counts.place_calls, 75000u);
-  EXPECT_LE(static_cast<double>(counts.scans),
-            0.05 * static_cast<double>(counts.place_calls));
+  // two scans per step: 1317553 scans, 19.4 per call. The price trace is
+  // generated through libm, so another platform may have to re-measure.
+  EXPECT_LE(counts.place_calls, 70000u);
+  EXPECT_LE(counts.scans, 1000u);
 }
